@@ -16,10 +16,13 @@ import (
 // a pinned buffer). Every dcCutEvery steps a concurrent, incremental
 // CheckpointAsync arms a copy-on-write cut while the application keeps
 // stepping; a second client goroutine waits for the commit. When the
-// chain tip reaches depth dcDepth, a lazy RestartAsync of the tip runs,
-// then one kernel, then Wait for the drain. The restart starts a new
-// chain, so every cycle is a base plus dcDepth deltas; the first cycle
-// is the census.
+// chain tip reaches depth dcDepth, the application computes dcCutEvery
+// more steps (untimed) while the tip is in flight, so the live state
+// moves away from the cut; then, once the tip has committed, a lazy
+// RestartAsync of the tip runs, then one kernel, then Wait for the
+// drain, and the restored state must equal the cut, not the live one.
+// The restart starts a new chain, so every cycle is a base plus dcDepth
+// deltas; the first cycle is the census.
 const (
 	dcDevBufs     = 12
 	dcPinBufs     = 4
@@ -152,10 +155,10 @@ func (w *deltaCow) cycle(ctx context.Context, p *phase, census bool) error {
 	calls0 := w.a.rt.Counters().TotalCUDACalls()
 	var tipCRC []uint32
 	var names []string
+	var err error
 	for depth := 0; depth <= dcDepth; depth++ {
 		for i := 0; i < dcCutEvery; i++ {
 			name := fmt.Sprintf("c%d-d%d", w.n, depth)
-			var err error
 			inflight, err = w.step(ctx, p, inflight, i, name)
 			steps++
 			if err != nil {
@@ -164,13 +167,24 @@ func (w *deltaCow) cycle(ctx context.Context, p *phase, census bool) error {
 			}
 		}
 		names = append(names, inflight.name)
-		if depth == dcDepth {
-			// The cut the restart will return to; nothing has run
-			// since it was armed.
-			var err error
-			if tipCRC, err = stateCRC(w.a.s.Space(), w.a.bufs, w.scratch); err != nil {
-				return err
-			}
+	}
+	calls := w.a.rt.Counters().TotalCUDACalls() - calls0
+	// The cut the restart will return to; nothing has run since it was
+	// armed. The application then writes on while the tip is in flight,
+	// so a cut that let those writes through restores the wrong bytes.
+	if tipCRC, err = stateCRC(w.a.s.Space(), w.a.bufs, w.scratch); err != nil {
+		return err
+	}
+	for i := 0; i < dcCutEvery; i++ {
+		if err := w.writeBehind(p, i); err != nil {
+			p.fail(err)
+			return nil
+		}
+	}
+	var live [][]byte
+	if w.e.liveAtRestart {
+		if live, err = readState(w.a.s.Space(), w.a.bufs); err != nil {
+			return err
 		}
 	}
 	// Let the tip commit (the application stepping on would start the
@@ -195,10 +209,10 @@ func (w *deltaCow) cycle(ctx context.Context, p *phase, census bool) error {
 		p.det = det{
 			StoredMiBPerCkpt: float64(stored) / float64(ckpts) / (1 << 20),
 			ShardsWritten:    p.shards.mean(),
-			CallsPerStep:     float64(w.a.rt.Counters().TotalCUDACalls()-calls0) / float64(steps),
+			CallsPerStep:     float64(calls) / float64(steps),
 		}
 	}
-	if err := w.restart(ctx, p, tip, tipCRC); err != nil {
+	if err := w.restart(ctx, p, tip, tipCRC, live); err != nil {
 		p.fail(err)
 		return nil
 	}
@@ -272,6 +286,20 @@ func (w *deltaCow) step(ctx context.Context, p *phase, inflight *cut, i int, nam
 	return inflight, nil
 }
 
+// writeBehind is step i's computation, run while the tip cut is in
+// flight and not timed as a step.
+func (w *deltaCow) writeBehind(p *phase, i int) error {
+	p.attempted.Add(1)
+	sp := w.e.rec.begin("write-behind", 0)
+	defer w.e.rec.end(sp)
+	w.a.setParent(sp)
+	if err := w.compute(i); err != nil {
+		return fmt.Errorf("write-behind: %w", err)
+	}
+	storeMax(&p.retainedPeak, w.a.s.Space().RetainedPages())
+	return nil
+}
+
 // committed records a cut's outcome.
 func (w *deltaCow) committed(p *phase, res cutResult, name string) error {
 	if res.err != nil {
@@ -283,8 +311,10 @@ func (w *deltaCow) committed(p *phase, res cutResult, name string) error {
 }
 
 // restart lazily restores the chain tip, launches the first kernel,
-// waits for the drain and checks every restored byte.
-func (w *deltaCow) restart(ctx context.Context, p *phase, tip string, want []uint32) error {
+// waits for the drain and checks every restored byte. A non-nil live
+// (a test's stand-in for a cut that let later writes through) is
+// written over the restored buffers before the check.
+func (w *deltaCow) restart(ctx context.Context, p *phase, tip string, want []uint32, live [][]byte) error {
 	p.attempted.Add(1)
 	rec := w.e.rec
 	rs := rec.begin("restart", 0)
@@ -314,6 +344,11 @@ func (w *deltaCow) restart(ctx context.Context, p *phase, tip string, want []uin
 	p.restoreBackground.add(st.RestoreBackgroundDuration)
 	mmaps, _ := w.a.s.Space().Stats()
 	p.mmaps.addMs(float64(mmaps))
+	for i, b := range live {
+		if err := w.a.s.Space().WriteAt(w.a.bufs[i].addr, b); err != nil {
+			return err
+		}
+	}
 	return w.a.verify(want, w.scratch)
 }
 

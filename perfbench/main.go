@@ -10,7 +10,8 @@
 // With --trace 0 the run is untraced and reports the end-to-end
 // metrics. With --trace 1 it measures the workload untraced for a
 // quarter of the time, traced for half and untraced for the last
-// quarter, reports the per-layer metrics from the traced half, writes
+// quarter, reports the per-layer metrics from the traced half (the Go
+// runtime's figures from the untraced quarters), writes
 // its spans under .bench_build/spans, and fails if the deterministic
 // counters of the three differ.
 package main
@@ -43,12 +44,15 @@ const (
 )
 
 // env is what a workload receives: its seed, the recorder (nil when
-// untraced), and an optional store wrapper used by tests to inject
-// faults.
+// untraced), and two test hooks: a store wrapper to inject faults, and
+// liveAtRestart, which makes delta-cow restore the live state at the
+// restart instead of the cut, as a cut that let later writes through
+// would.
 type env struct {
-	seed      int64
-	rec       *recorder
-	wrapStore func(crac.Store) crac.Store
+	seed          int64
+	rec           *recorder
+	wrapStore     func(crac.Store) crac.Store
+	liveAtRestart bool
 }
 
 // workload is one named load shape. setup builds its state (timed as
@@ -87,6 +91,10 @@ type phase struct {
 	ops                              atomic.Int64
 	attempted, failed                atomic.Int64
 	elapsed                          time.Duration
+	// think is the time clients paused between operations, summed
+	// over the clients of a closed loop that pauses.
+	think   atomic.Int64
+	clients int
 
 	errMu    sync.Mutex
 	firstErr error
@@ -245,13 +253,33 @@ func endToEnd(p *phase) []row {
 	}
 }
 
-func opsRate(p *phase) float64 { return float64(p.ops.Load()) / p.elapsed.Seconds() }
+// opsRate is operations per second of the clients' busy time: the
+// elapsed time less the mean pause per client.
+func opsRate(p *phase) float64 {
+	busy := p.elapsed
+	if p.clients > 0 {
+		busy -= time.Duration(p.think.Load() / int64(p.clients))
+	}
+	return float64(p.ops.Load()) / busy.Seconds()
+}
 
-// perLayer derives the per-layer metrics of a traced phase; untracedRate
-// is the operation rate of the untraced phases around it.
-func perLayer(p *phase, untracedRate float64, rec *recorder, ceiling float64) []row {
+// perLayer derives the per-layer metrics of a traced phase and the
+// untraced phases around it. The Go runtime's figures come from the
+// untraced phases, so the tracer's own allocations do not count.
+func perLayer(p *phase, untraced []*phase, rec *recorder, ceiling float64) []row {
 	ix := indexSpans(rec.snapshot())
-	ops := float64(max(p.ops.Load(), 1))
+	var mem memDelta
+	var untracedOps int64
+	var untracedRate float64
+	for _, u := range untraced {
+		mem.allocBytes += u.mem.allocBytes
+		mem.allocs += u.mem.allocs
+		mem.gcCycles += u.mem.gcCycles
+		mem.gcPause += u.mem.gcPause
+		untracedOps += u.ops.Load()
+		untracedRate += opsRate(u) / float64(len(untraced))
+	}
+	ops := float64(max(untracedOps, 1))
 	nCkpt := float64(max(p.ckpt.n(), 1))
 	nRestart := float64(max(p.restart.n(), 1))
 
@@ -319,10 +347,10 @@ func perLayer(p *phase, untracedRate float64, rec *recorder, ceiling float64) []
 		{"pool.waiting_peak", float64(p.pool.Waiting), "count", "lower", 1},
 		{"pool.reserved_page_peak", float64(p.pool.ReservedPagePeak), "pages", "lower", 1},
 		{"pool.rejections", float64(p.pool.RejectedQuota + p.pool.RejectedSaturated), "count", "lower", 1},
-		{"go.alloc_mib_per_op", float64(p.mem.allocBytes) / (1 << 20) / ops, "MiB", "lower", int(ops)},
-		{"go.allocs_per_op", float64(p.mem.allocs) / ops, "count", "lower", int(ops)},
-		{"go.gc_cycles", float64(p.mem.gcCycles), "count", "lower", 1},
-		{"go.gc_pause_ms", float64(p.mem.gcPause) / 1e6, "ms", "lower", int(p.mem.gcCycles)},
+		{"go.alloc_mib_per_op", float64(mem.allocBytes) / (1 << 20) / ops, "MiB", "lower", int(ops)},
+		{"go.allocs_per_op", float64(mem.allocs) / ops, "count", "lower", int(ops)},
+		{"go.gc_cycles", float64(mem.gcCycles), "count", "lower", 1},
+		{"go.gc_pause_ms", float64(mem.gcPause) / 1e6, "ms", "lower", int(mem.gcCycles)},
 		{"copy_ceiling_gbps", ceiling, "GB/s", "higher", 1},
 		{"ckpt_copy_efficiency", p.ckptCopyGBps.q(0.5) / ceiling, "ratio", "higher", p.ckptCopyGBps.n()},
 		{"trace_overhead_frac", overhead, "ratio", "lower", 1},
@@ -339,6 +367,8 @@ type options struct {
 	setups    int
 	wrapStore func(crac.Store) crac.Store
 	spanPath  string
+	// liveAtRestart is env.liveAtRestart.
+	liveAtRestart bool
 }
 
 // report is one invocation's outcome: the result line plus the rows
@@ -353,7 +383,7 @@ type report struct {
 func run(o options) report {
 	var rep report
 	rep.result.Metrics = map[string]metric{}
-	untraced := &env{seed: o.seed, wrapStore: o.wrapStore}
+	untraced := &env{seed: o.seed, wrapStore: o.wrapStore, liveAtRestart: o.liveAtRestart}
 	dur := time.Duration(o.seconds * float64(time.Second))
 	var phases []*phase
 	var err error
@@ -370,11 +400,12 @@ func run(o options) report {
 		// Untraced quarters on both sides of the traced half, so warm-up
 		// does not count as tracing overhead.
 		rec := newRecorder()
-		t := measure(&env{seed: o.seed, rec: rec, wrapStore: o.wrapStore}, 1, dur/2)
+		traced := *untraced
+		traced.rec = rec
+		t := measure(&traced, 1, dur/2)
 		if err == nil {
 			b := measure(untraced, 1, dur/4)
-			rate := (opsRate(a) + opsRate(b)) / 2
-			rep.rows = perLayer(t, rate, rec, copyCeiling())
+			rep.rows = perLayer(t, []*phase{a, b}, rec, copyCeiling())
 			rep.notes = append(rep.notes, fmt.Sprintf("copy ceiling buffer %d MiB (machine LLC: getconf LEVEL3_CACHE_SIZE)", ceilingBytes>>20))
 			if werr := rec.writeFile(o.spanPath); werr != nil {
 				err = errors.Join(err, fmt.Errorf("writing spans: %w", werr))

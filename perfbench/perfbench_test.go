@@ -12,8 +12,12 @@ import (
 
 // census runs only the workload's fixed census prefix.
 func census(t *testing.T, workload string, seed int64, trace bool, wrap func(crac.Store) crac.Store) report {
-	return run(options{workload: workload, seed: seed, seconds: 0.01, trace: trace, setups: 1, wrapStore: wrap,
-		spanPath: filepath.Join(t.TempDir(), "spans.jsonl")})
+	return run(censusOptions(t, workload, seed, trace, wrap))
+}
+
+func censusOptions(t *testing.T, workload string, seed int64, trace bool, wrap func(crac.Store) crac.Store) options {
+	return options{workload: workload, seed: seed, seconds: 0.01, trace: trace, setups: 1, wrapStore: wrap,
+		spanPath: filepath.Join(t.TempDir(), "spans.jsonl")}
 }
 
 // A corrupted image must fail the run: every Put flips one bit, so the
@@ -30,6 +34,19 @@ func TestCorruptImageFailsRun(t *testing.T) {
 				t.Fatalf("corrupted images passed: %+v %v", rep.result, rep.notes)
 			}
 		})
+	}
+}
+
+// delta-cow's application writes on while the tip cut is in flight, so
+// the live state at the restart differs from the cut: a restore that
+// returned the live state, as a cut that let those writes through
+// would, must fail the run.
+func TestLiveStateAtRestartFailsRun(t *testing.T) {
+	o := censusOptions(t, "delta-cow", 1, false, nil)
+	o.liveAtRestart = true
+	rep := run(o)
+	if rep.result.Correct || rep.result.Failed == 0 {
+		t.Fatalf("restoring the live state passed: %+v %v", rep.result, rep.notes)
 	}
 }
 

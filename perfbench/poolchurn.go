@@ -20,25 +20,37 @@ import (
 // closed-loop client goroutines each own an equal share of the sessions
 // and run a seeded mix: 70% mutate + checkpoint, 20% restart, 10% close
 // + reopen. Every restart is checked against a host-side shadow copy of
-// the state at the session's last checkpoint. Mutations draw from a
-// small set of values, so shards repeat across sessions and tenants and
-// the CAS layer dedups them. Each client pauses pcThink before every
-// operation, so the two clients and the Go runtime keep the machine's
-// two CPUs below saturation and latencies measure service time, not
-// queueing for a CPU. The first pcCensusOps operations of each client
-// are the census.
+// the state at the session's last checkpoint.
+//
+// The content follows the repository's dedup model (exp_dedup and
+// TestCASDedupAcrossSessions: sessions 97% identical, 256 KiB shards).
+// Opening a session and every mutation rewrite each buffer whole. Every
+// pcUniqueEvery-th rewrite of a client (3%) writes content unique to
+// the session (seeded random bytes in the pinned buffer, a kernel with
+// a seeded scale in the device buffer); the others write one of
+// pcValues contents the whole fleet shares. So ≈97% of the fleet's
+// state is shared. Each buffer lies within one 256 KiB shard: the CAS
+// layer dedups the shared shards and stores every unique one as a new
+// chunk. A fixed schedule, not a coin, picks the unique rewrites, so
+// the stored bytes barely depend on the seed.
+//
+// Each client pauses pcThink before every operation, so the two clients
+// and the Go runtime keep the machine's two CPUs below saturation and
+// latencies measure service time, not queueing for a CPU. The pauses
+// are timed and left out of ops_per_s. The first pcCensusOps operations
+// of each client are the census.
 const (
-	pcSessions  = 64
-	pcTenants   = 8
-	pcClients   = 2
-	pcHostBytes = 64 << 10
-	pcDevBytes  = 64 << 10
-	pcProbeSize = 4 << 10
-	pcBlock     = 16 << 10
-	pcShardSize = 16 << 10
-	pcValues    = 8
-	pcCensusOps = 200
-	pcThink     = time.Millisecond
+	pcSessions    = 64
+	pcTenants     = 8
+	pcClients     = 2
+	pcHostBytes   = 64 << 10
+	pcDevBytes    = 64 << 10
+	pcProbeSize   = 4 << 10
+	pcShardSize   = 256 << 10
+	pcValues      = 8
+	pcUniqueEvery = 33
+	pcCensusOps   = 600
+	pcThink       = time.Millisecond
 )
 
 type poolChurn struct {
@@ -47,7 +59,7 @@ type poolChurn struct {
 	mem      *crac.MemStore
 	sessions []*pooled
 
-	rngs     []*rand.Rand // one per client
+	contents []*content // one per client
 	mutates  atomic.Int64
 	mutCalls atomic.Int64
 	waitPeak atomic.Int64
@@ -85,13 +97,13 @@ func (w *poolChurn) setup(e *env, p *phase) error {
 		return err
 	}
 	w.pool = pool
-	rng := rand.New(rand.NewSource(e.seed*1000003 + 11))
+	c0 := &content{rng: rand.New(rand.NewSource(e.seed*1000003 + 11))}
 	for c := 0; c < pcClients; c++ {
-		w.rngs = append(w.rngs, rand.New(rand.NewSource(e.seed*1000003+int64(100+c))))
+		w.contents = append(w.contents, &content{rng: rand.New(rand.NewSource(e.seed*1000003 + int64(100+c)))})
 	}
 	for i := 0; i < pcSessions; i++ {
 		ps := &pooled{tenant: fmt.Sprintf("t%d", i%pcTenants), image: fmt.Sprintf("s%d", i)}
-		if err := w.open(context.Background(), p, ps, rng); err != nil {
+		if err := w.open(context.Background(), p, ps, c0); err != nil {
 			return err
 		}
 		w.sessions = append(w.sessions, ps)
@@ -101,7 +113,7 @@ func (w *poolChurn) setup(e *env, p *phase) error {
 
 // open admits a session for ps's tenant, gives it seeded state and
 // takes its first checkpoint.
-func (w *poolChurn) open(ctx context.Context, p *phase, ps *pooled, rng *rand.Rand) error {
+func (w *poolChurn) open(ctx context.Context, p *phase, ps *pooled, c *content) error {
 	start := time.Now()
 	s, err := w.pool.Open(ps.tenant)
 	end := time.Now()
@@ -125,12 +137,7 @@ func (w *poolChurn) open(ctx context.Context, p *phase, ps *pooled, rng *rand.Ra
 		return err
 	}
 	ps.shadow = make([]byte, pcHostBytes+pcDevBytes)
-	for off := 0; off < pcHostBytes+pcDevBytes; off += pcBlock {
-		if err := ps.write(off, rng.Intn(pcValues)); err != nil {
-			return err
-		}
-	}
-	if err := ps.a.rt.DeviceSynchronize(); err != nil {
+	if err := ps.rewrite(c); err != nil {
 		return err
 	}
 	if _, err := s.Checkpoint(ctx, ps.image); err != nil {
@@ -140,23 +147,65 @@ func (w *poolChurn) open(ctx context.Context, p *phase, ps *pooled, rng *rand.Ra
 	return nil
 }
 
-// write sets one pcBlock of the state at offset off (host bytes first,
-// then device bytes) to pattern v, through the runtime and the shadow.
-func (ps *pooled) write(off, v int) error {
-	blk := ps.shadow[off : off+pcBlock]
-	if off < pcHostBytes {
-		b := byte(v*29 + 3)
-		for i := range blk {
-			blk[i] = b
-		}
-		return ps.a.rt.Memset(ps.host+uint64(off), b, pcBlock)
+// rewrite rewrites both buffers whole, through the runtime and the
+// shadow, and synchronizes.
+func (ps *pooled) rewrite(c *content) error {
+	if err := ps.writeHost(c); err != nil {
+		return err
 	}
-	f := float32(v + 1)
+	if err := ps.writeDev(c); err != nil {
+		return err
+	}
+	return ps.a.rt.DeviceSynchronize()
+}
+
+// content is one client's (or set-up's) seeded stream of operations
+// and buffer contents.
+type content struct {
+	rng *rand.Rand
+	n   int // buffer rewrites so far
+}
+
+// unique reports whether the next buffer rewrite is unique to its
+// session: every pcUniqueEvery-th one is.
+func (c *content) unique() bool {
+	c.n++
+	return c.n%pcUniqueEvery == 0
+}
+
+// writeHost rewrites the pinned buffer: seeded random bytes, stored by
+// the host as an application stores into its pinned memory, or a
+// memset to a fleet-shared byte.
+func (ps *pooled) writeHost(c *content) error {
+	blk := ps.shadow[:pcHostBytes]
+	if c.unique() {
+		c.rng.Read(blk)
+		return ps.a.s.Space().WriteAt(ps.host, blk)
+	}
+	b := byte(c.rng.Intn(pcValues)*29 + 3)
+	for i := range blk {
+		blk[i] = b
+	}
+	return ps.a.rt.Memset(ps.host, b, pcHostBytes)
+}
+
+// writeDev rewrites the device buffer with a kernel: iota with a seeded
+// scale, or a fill with a fleet-shared value.
+func (ps *pooled) writeDev(c *content) error {
+	blk := ps.shadow[pcHostBytes:]
+	if c.unique() {
+		scale := 1 + c.rng.Float32()
+		for i := 0; i < len(blk); i += 4 {
+			binary.LittleEndian.PutUint32(blk[i:], math.Float32bits(scale*float32(i/4)))
+		}
+		return ps.a.launch("iota", ps.dev, scale, pcDevBytes/4)
+	}
+	f := float32(c.rng.Intn(pcValues) + 1)
 	bits := math.Float32bits(f)
 	for i := 0; i < len(blk); i += 4 {
 		binary.LittleEndian.PutUint32(blk[i:], bits)
 	}
-	return ps.a.launch("fill", ps.dev+uint64(off-pcHostBytes), f, pcBlock/4)
+	return ps.a.launch("fill", ps.dev, f, pcDevBytes/4)
 }
 
 // verify compares the restored state byte for byte with the shadow
@@ -185,7 +234,7 @@ func (w *poolChurn) clients(ctx context.Context, p *phase, until time.Time, ops 
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			w.client(ctx, p, w.sessions[c*per:(c+1)*per], w.rngs[c], until, ops)
+			w.client(ctx, p, w.sessions[c*per:(c+1)*per], w.contents[c], until, ops)
 		}(c)
 	}
 	wg.Wait()
@@ -224,6 +273,7 @@ func (w *poolChurn) census(ctx context.Context, p *phase) error {
 
 func (w *poolChurn) run(ctx context.Context, p *phase, deadline time.Time) error {
 	w.waitPeak.Store(0)
+	p.clients = pcClients
 	w.clients(ctx, p, deadline, 0)
 	p.pool = w.pool.Stats()
 	p.pool.Waiting = int(w.waitPeak.Load())
@@ -240,7 +290,7 @@ func (w *poolChurn) run(ctx context.Context, p *phase, deadline time.Time) error
 
 // client runs a closed loop over its sessions until the deadline, or
 // for ops operations when ops > 0. It stops at the first failure.
-func (w *poolChurn) client(ctx context.Context, p *phase, mine []*pooled, rng *rand.Rand, until time.Time, ops int) {
+func (w *poolChurn) client(ctx context.Context, p *phase, mine []*pooled, c *content, until time.Time, ops int) {
 	scratch := make([]byte, pcHostBytes+pcDevBytes)
 	for i := 0; ops == 0 || i < ops; i++ {
 		if ops == 0 && time.Now().After(until) {
@@ -249,19 +299,21 @@ func (w *poolChurn) client(ctx context.Context, p *phase, mine []*pooled, rng *r
 		if p.err() != nil {
 			return
 		}
+		t := time.Now()
 		time.Sleep(pcThink)
-		ps := mine[rng.Intn(len(mine))]
-		r := rng.Intn(10)
+		p.think.Add(int64(time.Since(t)))
+		ps := mine[c.rng.Intn(len(mine))]
+		r := c.rng.Intn(10)
 		p.attempted.Add(1)
 		var err error
 		switch {
 		case r < 7:
-			err = w.mutate(ctx, p, ps, rng)
+			err = w.mutate(ctx, p, ps, c)
 		case r < 9:
 			err = w.restart(ctx, p, ps, scratch)
 		default:
 			ps.ps.Close()
-			err = w.open(ctx, p, ps, rng)
+			err = w.open(ctx, p, ps, c)
 		}
 		if err != nil {
 			p.fail(fmt.Errorf("tenant %s session %s: %w", ps.tenant, ps.image, err))
@@ -274,21 +326,14 @@ func (w *poolChurn) client(ctx context.Context, p *phase, mine []*pooled, rng *r
 	}
 }
 
-// mutate writes one host and one device block (the step) and
-// checkpoints the session.
-func (w *poolChurn) mutate(ctx context.Context, p *phase, ps *pooled, rng *rand.Rand) error {
+// mutate rewrites the session's state (the step) and checkpoints it.
+func (w *poolChurn) mutate(ctx context.Context, p *phase, ps *pooled, c *content) error {
 	rec := w.e.rec
 	sp := rec.begin("step", 0)
 	ps.a.setParent(sp)
 	calls0 := ps.a.rt.Counters().TotalCUDACalls()
 	start := time.Now()
-	err := ps.write(rng.Intn(pcHostBytes/pcBlock)*pcBlock, rng.Intn(pcValues))
-	if err == nil {
-		err = ps.write(pcHostBytes+rng.Intn(pcDevBytes/pcBlock)*pcBlock, rng.Intn(pcValues))
-	}
-	if err == nil {
-		err = ps.a.rt.DeviceSynchronize()
-	}
+	err := ps.rewrite(c)
 	p.step.add(time.Since(start))
 	rec.end(sp)
 	if err != nil {

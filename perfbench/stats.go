@@ -133,6 +133,18 @@ func stateCRC(space *addrspace.Space, bufs []buffer, scratch []byte) ([]uint32, 
 	return out, nil
 }
 
+// readState copies every buffer out of the space.
+func readState(space *addrspace.Space, bufs []buffer) ([][]byte, error) {
+	out := make([][]byte, len(bufs))
+	for i, b := range bufs {
+		out[i] = make([]byte, b.size)
+		if err := space.ReadAt(b.addr, out[i]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 func equalCRC(a, b []uint32) bool {
 	if len(a) != len(b) {
 		return false
