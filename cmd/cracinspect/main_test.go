@@ -1,7 +1,10 @@
 package main
 
 import (
+	"compress/gzip"
 	"context"
+	"fmt"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -13,10 +16,10 @@ import (
 )
 
 // writeImage builds a session with a known CUDA footprint and
-// checkpoints it under the requested image format version.
-func writeImage(t *testing.T, path string, version int) {
+// checkpoints it.
+func writeImage(t *testing.T, path string) {
 	t.Helper()
-	s, err := crac.New(crac.WithImageVersion(version))
+	s, err := crac.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,35 +58,68 @@ func runInspect(t *testing.T, args ...string) (int, string, string) {
 // TestInspectBothVersions inspects a v1 and a v2 image and checks the
 // dump reports the format and the active CUDA state.
 func TestInspectBothVersions(t *testing.T) {
-	for _, version := range []int{1, 2} {
-		path := filepath.Join(t.TempDir(), "ckpt.img")
-		writeImage(t, path, version)
-		code, out, errOut := runInspect(t, path)
-		if code != 0 {
-			t.Fatalf("v%d exit = %d, stderr:\n%s", version, code, errOut)
-		}
-		for _, want := range []string{
-			"format: v", "upper-half regions:", "crac.log", "crac.devmem",
+	for _, tc := range []struct {
+		version int
+		want    []string
+	}{
+		{2, []string{
 			"cudaMalloc:        1 buffers (1048576 bytes)",
 			"cudaMallocManaged: 1 buffers (65536 bytes)",
 			"streams: 1",
-		} {
-			if !strings.Contains(out, want) {
-				t.Fatalf("v%d dump missing %q:\n%s", version, want, out)
+		}},
+		// The golden v1 image, written before the v1 writer was retired.
+		{1, []string{
+			"cudaMalloc:        8 buffers (2097152 bytes)",
+			"cudaHostAlloc:     16 buffers (4194304 bytes)",
+			"cudaMallocManaged: 1 buffers (262144 bytes)",
+		}},
+	} {
+		path := filepath.Join(t.TempDir(), "ckpt.img")
+		if tc.version == 2 {
+			writeImage(t, path)
+		} else {
+			writeGolden(t, path, "v1")
+		}
+		code, out, errOut := runInspect(t, path)
+		if code != 0 {
+			t.Fatalf("v%d exit = %d, stderr:\n%s", tc.version, code, errOut)
+		}
+		want := append([]string{
+			fmt.Sprintf("format: v%d", tc.version), "upper-half regions:", "crac.log", "crac.devmem",
+		}, tc.want...)
+		for _, w := range want {
+			if !strings.Contains(out, w) {
+				t.Fatalf("v%d dump missing %q:\n%s", tc.version, w, out)
 			}
 		}
-		if !strings.Contains(out, "format: v1") && version == 1 {
-			t.Fatalf("v1 image not reported as v1:\n%s", out)
-		}
-		if !strings.Contains(out, "format: v2") && version == 2 {
-			t.Fatalf("v2 image not reported as v2:\n%s", out)
-		}
+	}
+}
+
+// writeGolden decompresses the module's golden image
+// testdata/<name>.img.gz to path.
+func writeGolden(t *testing.T, path, name string) {
+	t.Helper()
+	f, err := os.Open(filepath.Join("..", "..", "testdata", name+".img.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestInspectLogDump(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.img")
-	writeImage(t, path, 2)
+	writeImage(t, path)
 	code, out, _ := runInspect(t, "-log", path)
 	if code != 0 {
 		t.Fatalf("exit = %d", code)

@@ -286,11 +286,12 @@
 // WithGzip tune it; WithWorkers(1) selects the serial reference path,
 // which produces byte-identical images.
 //
-// # Legacy surface
+// # Image formats
 //
-// Config and NewSession (plus CheckpointFile/RestartFile) survive as
-// deprecated shims over the option/store surface and will not grow new
-// fields; see DESIGN.md's migration table.
+// The written format is not configurable: a checkpoint that joins an
+// incremental lineage (WithIncremental, store-bound) is written as a
+// v3 image, every other checkpoint as a v2 image. Images in the
+// retired v1 format stay readable.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // reproduction of every table and figure in the paper's evaluation.

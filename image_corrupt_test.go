@@ -75,10 +75,10 @@ func TestImageStructuralCorruption(t *testing.T) {
 		img  []byte
 	}
 	variants := []variant{
-		{"v1", makeImageBytes(t, WithImageVersion(1))},
-		{"v1gzip", makeImageBytes(t, WithImageVersion(1), WithGzip(1))},
-		{"v2", makeImageBytes(t, WithImageVersion(2))},
-		{"v3base", makeImageBytes(t, WithIncremental(4))},
+		{"v1", goldenImage(t, "v1")},
+		{"v1gzip", goldenImage(t, "v1-gzip")},
+		{"v2", makeImageBytes(t)},
+		{"v3base", goldenImage(t, "v3-base")},
 	}
 
 	type mutation struct {
@@ -165,9 +165,9 @@ func TestImageStructuralCorruption(t *testing.T) {
 // or Verify — no silent acceptance of corrupt state.
 func TestImageSingleBitSweep(t *testing.T) {
 	variants := map[string][]byte{
-		"v1": makeImageBytes(t, WithImageVersion(1)),
-		"v2": makeImageBytes(t, WithImageVersion(2)),
-		"v3": makeImageBytes(t, WithIncremental(4)),
+		"v1": goldenImage(t, "v1"),
+		"v2": makeImageBytes(t),
+		"v3": goldenImage(t, "v3-base"),
 	}
 	ctx := context.Background()
 	for name, img := range variants {
@@ -231,7 +231,7 @@ func TestDeltaCorruptionEagerAndLazy(t *testing.T) {
 // a pre-trailer image (the bytes of a v2 image minus its 24-byte
 // trailer) opens fine, reports Verified=false, and restores.
 func TestLegacyTrailerlessImageStillReadable(t *testing.T) {
-	img := makeImageBytes(t, WithImageVersion(2))
+	img := makeImageBytes(t)
 	legacy := img[:len(img)-24]
 	im, err := OpenImage(bytes.NewReader(legacy))
 	if err != nil {

@@ -4,17 +4,18 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/crt"
 )
 
-// imageSession runs a recognizable workload and checkpoints it under
-// the requested image version, returning the raw image bytes.
-func imageBytes(t *testing.T, version int) []byte {
+// imageBytes runs a recognizable workload and checkpoints it,
+// returning the raw (v2) image bytes.
+func imageBytes(t *testing.T) []byte {
 	t.Helper()
-	s, err := New(WithImageVersion(version))
+	s, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,59 +37,84 @@ func imageBytes(t *testing.T, version int) []byte {
 	return img.Bytes()
 }
 
-// TestOpenImageBothVersions opens a v1 and a v2 image without restoring
-// and checks the Info/Log surface reports the same state for both.
+// TestOpenImageBothVersions opens a v2 image without restoring and
+// checks the Info/Log surface reports the checkpointed state; then it
+// checks the golden v1 image reports the same state as the golden v2
+// image of the same session.
 func TestOpenImageBothVersions(t *testing.T) {
-	for _, version := range []int{1, 2} {
-		img, err := OpenImage(bytes.NewReader(imageBytes(t, version)))
-		if err != nil {
-			t.Fatalf("OpenImage v%d: %v", version, err)
-		}
-		info := img.Info()
-		if info.Version != version {
-			t.Fatalf("Info.Version = %d, want %d", info.Version, version)
-		}
-		if info.Gzip {
-			t.Fatalf("v%d: unexpected gzip flag", version)
-		}
-		if len(info.Regions) == 0 || info.RegionBytes == 0 {
-			t.Fatalf("v%d: no regions in info: %+v", version, info)
-		}
-		var names []string
-		for _, s := range info.Sections {
-			names = append(names, s.Name)
-		}
-		if !strings.Contains(strings.Join(names, ","), "crac.log") {
-			t.Fatalf("v%d: missing crac.log section in %v", version, names)
-		}
+	img, err := OpenImage(bytes.NewReader(imageBytes(t)))
+	if err != nil {
+		t.Fatalf("OpenImage: %v", err)
+	}
+	info := img.Info()
+	if info.Version != 2 {
+		t.Fatalf("Info.Version = %d, want 2", info.Version)
+	}
+	if info.Gzip {
+		t.Fatal("unexpected gzip flag")
+	}
+	if len(info.Regions) == 0 || info.RegionBytes == 0 {
+		t.Fatalf("no regions in info: %+v", info)
+	}
+	var names []string
+	for _, s := range info.Sections {
+		names = append(names, s.Name)
+	}
+	if !strings.Contains(strings.Join(names, ","), "crac.log") {
+		t.Fatalf("missing crac.log section in %v", names)
+	}
+	lg, err := img.Log()
+	if err != nil {
+		t.Fatalf("Log: %v", err)
+	}
+	if lg == nil {
+		t.Fatal("no log summary")
+	}
+	if lg.Device.Buffers != 3 {
+		t.Fatalf("active device buffers = %d, want 3", lg.Device.Buffers)
+	}
+	if lg.Device.Bytes != 3*1024*4 {
+		t.Fatalf("active device bytes = %d", lg.Device.Bytes)
+	}
+	if lg.Streams != 1 {
+		t.Fatalf("streams = %d, want 1", lg.Streams)
+	}
+	if len(lg.Modules) != 1 || lg.Modules[0].Module != "vectest" || lg.Modules[0].Kernels != 2 {
+		t.Fatalf("modules = %+v", lg.Modules)
+	}
+	if lg.Entries == 0 {
+		t.Fatal("empty log")
+	}
+	entries, err := img.LogEntries()
+	if err != nil || len(entries) != lg.Entries {
+		t.Fatalf("LogEntries = %d entries, %v (want %d)", len(entries), err, lg.Entries)
+	}
 
-		lg, err := img.Log()
-		if err != nil {
-			t.Fatalf("v%d Log: %v", version, err)
-		}
-		if lg == nil {
-			t.Fatalf("v%d: no log summary", version)
-		}
-		if lg.Device.Buffers != 3 {
-			t.Fatalf("v%d: active device buffers = %d, want 3", version, lg.Device.Buffers)
-		}
-		if lg.Device.Bytes != 3*1024*4 {
-			t.Fatalf("v%d: active device bytes = %d", version, lg.Device.Bytes)
-		}
-		if lg.Streams != 1 {
-			t.Fatalf("v%d: streams = %d, want 1", version, lg.Streams)
-		}
-		if len(lg.Modules) != 1 || lg.Modules[0].Module != "vectest" || lg.Modules[0].Kernels != 2 {
-			t.Fatalf("v%d: modules = %+v", version, lg.Modules)
-		}
-		if lg.Entries == 0 {
-			t.Fatalf("v%d: empty log", version)
-		}
-
-		entries, err := img.LogEntries()
-		if err != nil || len(entries) != lg.Entries {
-			t.Fatalf("v%d: LogEntries = %d entries, %v (want %d)", version, len(entries), err, lg.Entries)
-		}
+	v1, err := OpenImage(bytes.NewReader(goldenImage(t, "v1")))
+	if err != nil {
+		t.Fatalf("OpenImage v1: %v", err)
+	}
+	v2, err := OpenImage(bytes.NewReader(goldenImage(t, "v2")))
+	if err != nil {
+		t.Fatalf("OpenImage v2: %v", err)
+	}
+	info1, info2 := v1.Info(), v2.Info()
+	if info1.Version != 1 || info2.Version != 2 {
+		t.Fatalf("versions = %d, %d", info1.Version, info2.Version)
+	}
+	if len(info1.Regions) == 0 || !reflect.DeepEqual(info1.Regions, info2.Regions) || !reflect.DeepEqual(info1.Sections, info2.Sections) {
+		t.Fatalf("v1 info %+v differs from v2 info %+v", info1, info2)
+	}
+	lg1, err := v1.Log()
+	if err != nil {
+		t.Fatalf("v1 Log: %v", err)
+	}
+	lg2, err := v2.Log()
+	if err != nil {
+		t.Fatalf("v2 Log: %v", err)
+	}
+	if lg1.Device.Buffers != incrDevAllocs || !reflect.DeepEqual(lg1, lg2) {
+		t.Fatalf("v1 log %+v differs from v2 log %+v", lg1, lg2)
 	}
 }
 

@@ -29,7 +29,6 @@
 package dmtcp
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"context"
@@ -39,7 +38,6 @@ import (
 	"hash/fnv"
 	"io"
 	"sort"
-	"time"
 
 	"repro/internal/addrspace"
 	"repro/internal/par"
@@ -249,88 +247,17 @@ func imageID(parentID uint64, depth int, cut uint64, names []string, secHashes m
 	return h.Sum64()
 }
 
-// CheckpointDelta writes a v3 image: a full base when prev is nil, else
-// a delta against the checkpoint prev describes. selfName is the store
-// name the image is being written under (recorded as the parent of the
-// next delta; "" for standalone images). The returned DeltaState
-// describes the new image; the caller must commit it only if the write
-// durably succeeded.
+// CheckpointDelta takes a blocking checkpoint as a v3 image: a full
+// base when prev is nil, else a delta against the checkpoint prev
+// describes. selfName is the store name the image is being written
+// under (recorded as the parent of the next delta; "" for standalone
+// images). The returned DeltaState describes the new image; the caller
+// must commit it only if the write durably succeeded.
 //
 // The hook lifecycle matches Checkpoint, except plugins implementing
 // DeltaPlugin receive PreCheckpointDelta with the parent's epoch cut.
 func (e *Engine) CheckpointDelta(ctx context.Context, w io.Writer, space *addrspace.Space, prev *DeltaState, selfName string) (Stats, *DeltaState, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// A shard-size change breaks the chain's shard grid (hashes would
-	// compare different byte ranges), and a chain at the reader's depth
-	// cap could never be restored: both rotate to a fresh base.
-	if prev != nil && (prev.ShardSize != e.shardSize() || prev.Depth+1 >= maxChainDepth) {
-		prev = nil
-	}
-	start := time.Now()
-	// The cut is taken before the drain hooks, mirroring the plugin's
-	// UVM cut: any write that races the drain or the image write — even
-	// one the payload happens to capture — is stamped above the cut and
-	// re-emitted by the next delta. Taking it later would open a window
-	// (between a plugin's memory reads and the cut) whose writes are
-	// stamped at the cut value, reported clean next time, and lost.
-	cut := space.CutEpoch()
-	sections := NewSectionMap()
-	since := uint64(0)
-	if prev != nil {
-		since = prev.Cut
-	}
-	for _, p := range e.plugins {
-		if err := ctx.Err(); err != nil {
-			return Stats{}, nil, err
-		}
-		var err error
-		if dp, ok := p.(DeltaPlugin); ok {
-			err = dp.PreCheckpointDelta(ctx, sections, since)
-		} else {
-			err = p.PreCheckpoint(ctx, sections)
-		}
-		if err != nil {
-			return Stats{}, nil, fmt.Errorf("dmtcp: plugin %s precheckpoint: %w", p.Name(), err)
-		}
-	}
-	hookDur := time.Since(start)
-
-	regions := space.RegionsIn(addrspace.HalfUpper)
-	st := Stats{Regions: len(regions), Delta: prev != nil}
-	if prev != nil {
-		st.DeltaDepth = prev.Depth + 1
-	}
-
-	writeStart := time.Now()
-	// v3 compresses per shard, never whole-body, so the integrity
-	// trailer applies unconditionally.
-	tw := newTrailerWriter(w)
-	bw := bufio.NewWriterSize(tw, 256<<10)
-	state, err := e.writeImageV3(ctx, bw, space, regions, sections, prev, selfName, cut, since, &st)
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		err = tw.Finish()
-	}
-	st.WriteDuration = time.Since(writeStart)
-	if err != nil {
-		return st, nil, err
-	}
-
-	resumeStart := time.Now()
-	for i := len(e.plugins) - 1; i >= 0; i-- {
-		if err := e.plugins[i].Resume(); err != nil {
-			return st, nil, fmt.Errorf("dmtcp: plugin %s resume: %w", e.plugins[i].Name(), err)
-		}
-	}
-	st.HookDuration = hookDur + time.Since(resumeStart)
-	st.Duration = time.Since(start)
-	// A blocking checkpoint stops the world for its whole duration.
-	st.PauseDuration = st.Duration
-	return st, state, nil
+	return e.checkpointLive(ctx, w, space, true, prev, selfName)
 }
 
 // writeImageV3 emits the v3 header tables and the emitted shard set

@@ -12,21 +12,23 @@
 //
 // # Image formats
 //
-// Two image formats exist. v1 ("CRACIMG1") is the original serial
-// layout: an optional whole-body gzip stream of interleaved region
-// headers and payloads. v2 ("CRACIMG2") is the chunked layout written by
-// the parallel pipeline: all region and section headers first, then the
-// concatenated payload split into fixed-size shards, each shard framed
-// as {rawLen, encLen, bytes}. With gzip enabled every shard is an
-// independent gzip member, so shards compress on separate CPUs and the
-// concatenation remains a valid multistream gzip payload. Shard
-// boundaries depend only on the shard size, never on the worker count,
-// so a v2 image is byte-identical whether written serially or by N
-// workers. ReadImage accepts both formats.
+// Three image formats exist. v1 ("CRACIMG1") is the original serial
+// layout, now read-only: an optional whole-body gzip stream of
+// interleaved region headers and payloads. v2 ("CRACIMG2") is the
+// chunked layout written by the parallel pipeline: all region and
+// section headers first, then the concatenated payload split into
+// fixed-size shards, each shard framed as {rawLen, encLen, bytes}.
+// With gzip enabled every shard is an independent gzip member, so
+// shards compress on separate CPUs and the concatenation remains a
+// valid multistream gzip payload. Shard boundaries depend only on the
+// shard size, never on the worker count, so a v2 image is
+// byte-identical whether written serially or by N workers. v3
+// ("CRACIMG3", delta.go) extends v2 with incremental lineage; a
+// checkpoint is written as v3 when it joins a lineage and as v2
+// otherwise. ReadImage accepts all three formats.
 package dmtcp
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"context"
@@ -251,11 +253,8 @@ type Engine struct {
 	// Workers bounds the checkpoint pipeline fan-out: <=0 uses all
 	// CPUs, 1 runs the serial reference path (same image bytes).
 	Workers int
-	// ShardSize overrides DefaultShardSize (v2 images only).
+	// ShardSize overrides DefaultShardSize.
 	ShardSize int
-	// ImageVersion selects the written format: 0 or 2 for the chunked
-	// v2 layout, 1 for the legacy serial layout.
-	ImageVersion int
 
 	// ShardHook, when set, runs in commit order just before each payload
 	// shard is written to the image stream; returning an error aborts the
@@ -293,10 +292,9 @@ var ErrBadImage = errors.New("dmtcp: bad checkpoint image")
 
 // ErrUnsupportedVersion reports a checkpoint image whose format version
 // this build does not speak: the CRACIMG magic prefix matched, but the
-// version digit is newer (or older) than the reader understands, or an
-// engine was asked to write an unknown version. Distinct from
-// ErrBadImage so callers can tell "not an image" from "an image from a
-// different release".
+// version digit is newer (or older) than the reader understands.
+// Distinct from ErrBadImage so callers can tell "not an image" from "an
+// image from a different release".
 var ErrUnsupportedVersion = errors.New("dmtcp: unsupported image version")
 
 // Decoder sanity caps. The simulated windows are 2 GiB each, so any
@@ -322,203 +320,25 @@ func (e *Engine) shardSize() int {
 	return e.ShardSize
 }
 
-// Checkpoint runs the plugin PreCheckpoint hooks, writes the upper half
-// of space plus all plugin sections to w, then runs the Resume hooks.
-// Cancelling ctx aborts the operation between hooks and between payload
-// shards, returning the context's error; the image written so far is
-// abandoned where it stands (callers that need all-or-nothing semantics
-// write through an atomic sink, e.g. a Store).
+// Checkpoint takes a blocking checkpoint of space to w: a live freeze
+// (the plugin PreCheckpoint hooks) and WriteFrozen back to back, then
+// the Resume hooks. Cancelling ctx aborts the operation between hooks
+// and between payload shards, returning the context's error; the image
+// written so far is abandoned where it stands (callers that need
+// all-or-nothing semantics write through an atomic sink, e.g. a Store).
 func (e *Engine) Checkpoint(ctx context.Context, w io.Writer, space *addrspace.Space) (Stats, error) {
-	if e.ImageVersion == 3 {
-		// The v3 path has its own hook lifecycle (delta-aware plugins);
-		// with no lineage this writes a standalone full base image.
-		st, _, err := e.CheckpointDelta(ctx, w, space, nil, "")
-		return st, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	sections := NewSectionMap()
-	for _, p := range e.plugins {
-		if err := ctx.Err(); err != nil {
-			return Stats{}, err
-		}
-		if err := p.PreCheckpoint(ctx, sections); err != nil {
-			return Stats{}, fmt.Errorf("dmtcp: plugin %s precheckpoint: %w", p.Name(), err)
-		}
-	}
-	hookDur := time.Since(start)
+	st, _, err := e.checkpointLive(ctx, w, space, false, nil, "")
+	return st, err
+}
 
-	// Only upper-half regions enter the image. This relies on CRAC's own
-	// region attribution, not the merged maps view (Section 3.2.2).
-	regions := space.RegionsIn(addrspace.HalfUpper)
-	st := Stats{Regions: len(regions)}
-
-	writeStart := time.Now()
-	version := e.ImageVersion
-	if version == 0 {
-		version = 2
-	}
-	// Every format except v1+gzip gets the integrity trailer (the v1
-	// gzip body is read through a buffered inflater that may consume
-	// past the member's end, so trailing bytes cannot be located).
-	var tw *trailerWriter
-	sink := w
-	if version != 1 || !e.Gzip {
-		tw = newTrailerWriter(w)
-		sink = tw
-	}
-	// Buffer the image stream: header and frame writes are a few bytes
-	// each and must not hit the underlying writer (often a file)
-	// directly.
-	bw := bufio.NewWriterSize(sink, 256<<10)
-	var err error
-	switch version {
-	case 1:
-		err = e.writeImageV1(ctx, bw, space, regions, sections, &st)
-	case 2:
-		err = e.writeImageV2(ctx, bw, space, regions, sections, &st)
-	default:
-		err = fmt.Errorf("%w: cannot write version %d", ErrUnsupportedVersion, version)
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil && tw != nil {
-		err = tw.Finish()
-	}
-	st.WriteDuration = time.Since(writeStart)
+// checkpointLive is the blocking checkpoint: a live freeze written at
+// once.
+func (e *Engine) checkpointLive(ctx context.Context, w io.Writer, space *addrspace.Space, incremental bool, prev *DeltaState, selfName string) (Stats, *DeltaState, error) {
+	fz, err := e.FreezeLive(ctx, space, incremental, prev, selfName)
 	if err != nil {
-		return st, err
+		return Stats{}, nil, err
 	}
-
-	resumeStart := time.Now()
-	for i := len(e.plugins) - 1; i >= 0; i-- {
-		if err := e.plugins[i].Resume(); err != nil {
-			return st, fmt.Errorf("dmtcp: plugin %s resume: %w", e.plugins[i].Name(), err)
-		}
-	}
-	st.HookDuration = hookDur + time.Since(resumeStart)
-	st.Duration = time.Since(start)
-	// A blocking checkpoint stops the world for its whole duration.
-	st.PauseDuration = st.Duration
-	return st, nil
-}
-
-// v1GzipPool recycles the whole-body gzip writer of the v1 serial
-// format across checkpoints (Reset re-arms a closed writer); v1 always
-// compresses at the default level, so every pooled writer fits.
-var v1GzipPool sync.Pool
-
-// v1ChunkPool recycles the bounded payload chunk buffer of writeBodyV1.
-var v1ChunkPool sync.Pool
-
-// writeImageV1 emits the legacy serial format: interleaved region
-// headers and payloads, optionally wrapped in a single gzip stream.
-func (e *Engine) writeImageV1(ctx context.Context, w io.Writer, view addrspace.View, regions []addrspace.RegionInfo, sections *SectionMap, st *Stats) error {
-	if _, err := w.Write(imageMagicV1[:]); err != nil {
-		return err
-	}
-	var flags [4]byte
-	if e.Gzip {
-		flags[0] = 1
-	}
-	if _, err := w.Write(flags[:]); err != nil {
-		return err
-	}
-	body := w
-	var gz *gzip.Writer
-	if e.Gzip {
-		if pw, _ := v1GzipPool.Get().(*gzip.Writer); pw != nil {
-			pw.Reset(w)
-			gz = pw
-		} else {
-			gz = gzip.NewWriter(w)
-		}
-		body = gz
-	}
-	if err := writeBodyV1(ctx, body, view, regions, sections, st, e.shardSize()); err != nil {
-		return err
-	}
-	if gz != nil {
-		err := gz.Close()
-		v1GzipPool.Put(gz)
-		return err
-	}
-	return nil
-}
-
-func writeBodyV1(ctx context.Context, w io.Writer, view addrspace.View, regions []addrspace.RegionInfo, sections *SectionMap, st *Stats, chunk int) error {
-	var u32 [4]byte
-	var u64 [8]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(regions)))
-	if _, err := w.Write(u32[:]); err != nil {
-		return err
-	}
-	// One bounded, pooled chunk buffer: region payloads stream through
-	// it instead of a grow-only whole-region buffer, and the buffer
-	// itself is recycled across checkpoints instead of reallocated per
-	// image.
-	bp, _ := v1ChunkPool.Get().(*[]byte)
-	if bp == nil || cap(*bp) < chunk {
-		b := make([]byte, chunk)
-		bp = &b
-	}
-	defer v1ChunkPool.Put(bp)
-	buf := (*bp)[:chunk]
-	for _, ri := range regions {
-		binary.LittleEndian.PutUint64(u64[:], ri.Start)
-		if _, err := w.Write(u64[:]); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint64(u64[:], ri.Len)
-		if _, err := w.Write(u64[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write([]byte{byte(ri.Prot)}); err != nil {
-			return err
-		}
-		if err := writeString(w, ri.Label); err != nil {
-			return err
-		}
-		for off := uint64(0); off < ri.Len; off += uint64(chunk) {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			n := ri.Len - off
-			if n > uint64(chunk) {
-				n = uint64(chunk)
-			}
-			if err := view.ReadAt(ri.Start+off, buf[:n]); err != nil {
-				return fmt.Errorf("dmtcp: reading region %v: %w", ri, err)
-			}
-			if _, err := w.Write(buf[:n]); err != nil {
-				return err
-			}
-		}
-		st.RegionBytes += ri.Len
-	}
-	names := sections.Names()
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(names)))
-	if _, err := w.Write(u32[:]); err != nil {
-		return err
-	}
-	for _, name := range names {
-		data, _ := sections.Get(name)
-		if err := writeString(w, name); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint64(u64[:], uint64(len(data)))
-		if _, err := w.Write(u64[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(data); err != nil {
-			return err
-		}
-		st.SectionBytes += uint64(len(data))
-	}
-	return nil
+	return e.WriteFrozen(ctx, w, fz)
 }
 
 // shardJob is one unit of the v2/v3 write pipeline: a payload shard to

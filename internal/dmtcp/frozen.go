@@ -1,20 +1,25 @@
-// Snapshot-and-release checkpoints: the engine side of CRAC's
-// concurrent checkpoint path.
+// The one checkpoint path: every checkpoint is a freeze followed by
+// WriteFrozen.
 //
-// A blocking checkpoint stops the application for drain + image write +
-// store commit. The frozen path splits that into two phases:
+//   - The freeze runs inside the stop-the-world window: the epoch cut
+//     (v3) and the plugin hooks that drain the device.
+//   - WriteFrozen emits the plugin sections, serializes the image
+//     through the shard pipeline, and runs the Resume hooks.
 //
-//   - FreezeCheckpoint runs inside the stop-the-world window: plugin
-//     drains, epoch cuts, and the copy-on-write arming of the address
-//     space — O(metadata), no payload copying;
-//   - WriteFrozen runs afterwards, concurrently with the application:
-//     plugins emit their sections and the shard pipeline serializes the
-//     image, all reading memory through the armed snapshot.
+// The two kinds of freeze differ only in what WriteFrozen reads:
 //
-// The image WriteFrozen produces is byte-identical to the image a
-// blocking checkpoint at the freeze point would have written, no matter
-// how hard the application mutates memory during the overlap (DESIGN.md
-// invariant 10).
+//   - a live freeze (FreezeLive, the blocking checkpoint) runs every
+//     plugin's PreCheckpoint / PreCheckpointDelta in place and leaves
+//     WriteFrozen reading the live address space, so the application
+//     stays stopped until the write returns;
+//   - a snapshot freeze (FreezeCheckpoint, the concurrent checkpoint)
+//     runs only the SnapshotPlugins' O(metadata) capture and arms a
+//     copy-on-write snapshot, so the application may resume at once
+//     and the write overlaps its execution.
+//
+// A snapshot checkpoint's image is byte-identical to the live
+// checkpoint at its freeze point, no matter how hard the application
+// mutates memory during the overlap (DESIGN.md invariant 10).
 package dmtcp
 
 import (
@@ -35,15 +40,15 @@ type EmitFunc func(ctx context.Context, view addrspace.View, sections *SectionMa
 
 // SnapshotPlugin is the optional extension of Plugin for concurrent
 // checkpoints. FreezeCheckpoint replaces PreCheckpoint /
-// PreCheckpointDelta in the frozen lifecycle: it runs inside the
+// PreCheckpointDelta in the snapshot freeze: it runs inside the
 // stop-the-world window and must capture every non-memory input of the
 // checkpoint (call-log prefix, active sets, epoch cuts) — quickly. The
 // returned EmitFunc produces the plugin's sections later, from the
 // capture plus the memory view. since is the parent checkpoint's epoch
 // cut (0 for a base); incremental selects the v3 section encoding.
 //
-// Plugins that do not implement SnapshotPlugin still work under
-// FreezeCheckpoint: their full PreCheckpoint hook runs inside the pause
+// Plugins that do not implement SnapshotPlugin still work under a
+// snapshot freeze: their full PreCheckpoint hook runs inside the pause
 // window against the live space, which is correct but pays the drain
 // cost in the pause.
 type SnapshotPlugin interface {
@@ -52,8 +57,8 @@ type SnapshotPlugin interface {
 }
 
 // frozenEmit is one plugin's contribution to a frozen checkpoint:
-// either a deferred emit function, or sections already captured in the
-// pause window (non-SnapshotPlugin fallback).
+// either a deferred emit function, or sections its PreCheckpoint hook
+// already produced in the pause window.
 type frozenEmit struct {
 	plugin Plugin
 	emit   EmitFunc
@@ -61,77 +66,81 @@ type frozenEmit struct {
 }
 
 // Frozen is a checkpoint captured in the stop-the-world window, ready
-// to be written while the application keeps executing. The caller must
-// Release it exactly once, after WriteFrozen (or instead of it, when
-// abandoning the checkpoint) — releasing drops every copy-on-write page
-// the snapshot retained.
+// to be written. The caller must Release it exactly once, after
+// WriteFrozen (or instead of it, when abandoning the checkpoint) —
+// releasing drops every copy-on-write page a snapshot retained.
 type Frozen struct {
-	snap     *addrspace.Snapshot
+	view     addrspace.View      // what the write reads: the snapshot or the live space
+	snap     *addrspace.Snapshot // nil for a live freeze
+	v3       bool
 	cut      uint64
 	since    uint64
 	prev     *DeltaState
 	selfName string
-	version  int
 	emits    []frozenEmit
 	start    time.Time
+	hookDur  time.Duration // PreCheckpoint hooks run in place by the freeze
 }
 
-// FreezeCheckpoint captures a checkpoint of space inside the
-// stop-the-world window: it takes the epoch cut (v3), runs the plugin
-// freeze hooks (draining the device), and arms the copy-on-write
-// snapshot. incremental forces the v3 format (a chain base when prev is
-// nil); prev and selfName carry the lineage exactly as in
-// CheckpointDelta. On return the application may resume: everything the
-// image needs is pinned.
+// FreezeCheckpoint is the concurrent checkpoint's freeze: it takes the
+// epoch cut (v3), runs the plugin freeze hooks (draining the device),
+// and arms the copy-on-write snapshot WriteFrozen reads. incremental
+// forces the v3 format (a chain base when prev is nil); prev and
+// selfName carry the lineage exactly as in CheckpointDelta. On return
+// the application may resume: everything the image needs is pinned.
 func (e *Engine) FreezeCheckpoint(ctx context.Context, space *addrspace.Space, incremental bool, prev *DeltaState, selfName string) (*Frozen, error) {
+	return e.freeze(ctx, space, incremental, prev, selfName, true)
+}
+
+// FreezeLive is the blocking checkpoint's freeze: FreezeCheckpoint's
+// contract, except that every plugin's PreCheckpoint (or
+// PreCheckpointDelta, for v3) runs in place and no snapshot is armed —
+// WriteFrozen reads the live space, so the checkpoint's whole duration
+// is its pause.
+func (e *Engine) FreezeLive(ctx context.Context, space *addrspace.Space, incremental bool, prev *DeltaState, selfName string) (*Frozen, error) {
+	return e.freeze(ctx, space, incremental, prev, selfName, false)
+}
+
+func (e *Engine) freeze(ctx context.Context, space *addrspace.Space, incremental bool, prev *DeltaState, selfName string, snapshot bool) (*Frozen, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	version := e.ImageVersion
-	if version == 0 {
-		version = 2
+	fz := &Frozen{view: space, v3: incremental || prev != nil, selfName: selfName, start: time.Now()}
+	// A shard-size change breaks the chain's shard grid (hashes would
+	// compare different byte ranges), and a chain at the reader's depth
+	// cap could never be restored: both rotate to a fresh base.
+	if prev != nil && prev.ShardSize == e.shardSize() && prev.Depth+1 < maxChainDepth {
+		fz.prev = prev
+		fz.since = prev.Cut
 	}
-	if incremental || prev != nil {
-		version = 3
-	}
-	switch version {
-	case 1, 2, 3:
-	default:
-		return nil, fmt.Errorf("%w: cannot write version %d", ErrUnsupportedVersion, version)
-	}
-	// Same rotation guards as CheckpointDelta: a shard-size change or a
-	// chain at the depth cap rotates to a fresh base.
-	if prev != nil && (prev.ShardSize != e.shardSize() || prev.Depth+1 >= maxChainDepth) {
-		prev = nil
-	}
-	fz := &Frozen{prev: prev, selfName: selfName, version: version, start: time.Now()}
-	if version == 3 {
-		// The cut precedes the drain hooks, exactly as in CheckpointDelta:
-		// writes racing the drain are stamped above the cut and re-emitted
-		// by the next delta.
+	if fz.v3 {
+		// The cut is taken before the drain hooks, mirroring the
+		// plugin's UVM cut: any write that races the drain or the image
+		// write — even one the payload happens to capture — is stamped
+		// above the cut and re-emitted by the next delta. Taking it
+		// later would open a window (between a plugin's memory reads and
+		// the cut) whose writes are stamped at the cut value, reported
+		// clean next time, and lost.
 		fz.cut = space.CutEpoch()
-		if prev != nil {
-			fz.since = prev.Cut
-		}
 	}
 	for _, p := range e.plugins {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if sp, ok := p.(SnapshotPlugin); ok {
-			emit, err := sp.FreezeCheckpoint(fz.since, version == 3)
+		if sp, ok := p.(SnapshotPlugin); ok && snapshot {
+			emit, err := sp.FreezeCheckpoint(fz.since, fz.v3)
 			if err != nil {
 				return nil, fmt.Errorf("dmtcp: plugin %s freeze: %w", p.Name(), err)
 			}
 			fz.emits = append(fz.emits, frozenEmit{plugin: p, emit: emit})
 			continue
 		}
-		// Fallback: the plugin cannot defer its work, so its whole
-		// precheckpoint hook runs here, in the pause, against the live
-		// space — its sections are frozen by construction.
+		// The plugin's whole precheckpoint hook runs here, against the
+		// live space — its sections are frozen by construction.
+		hookStart := time.Now()
 		pre := NewSectionMap()
 		var err error
-		if dp, ok := p.(DeltaPlugin); ok && version == 3 {
+		if dp, ok := p.(DeltaPlugin); ok && fz.v3 {
 			err = dp.PreCheckpointDelta(ctx, pre, fz.since)
 		} else {
 			err = p.PreCheckpoint(ctx, pre)
@@ -139,17 +148,21 @@ func (e *Engine) FreezeCheckpoint(ctx context.Context, space *addrspace.Space, i
 		if err != nil {
 			return nil, fmt.Errorf("dmtcp: plugin %s precheckpoint: %w", p.Name(), err)
 		}
+		fz.hookDur += time.Since(hookStart)
 		fz.emits = append(fz.emits, frozenEmit{plugin: p, pre: pre})
 	}
-	// Arm the snapshot after the drain hooks, so the image includes the
-	// memory effects the drain flushed — the same ordering a blocking
-	// checkpoint observes.
-	fz.snap = space.Snapshot()
+	if snapshot {
+		// Arm the snapshot after the drain hooks, so the image includes
+		// the memory effects the drain flushed — the same ordering a
+		// live checkpoint observes.
+		fz.snap = space.Snapshot()
+		fz.view = fz.snap
+	}
 	return fz, nil
 }
 
 // Cut returns the address-space epoch cut the checkpoint was frozen at
-// (0 for v1/v2 images, which take no cut).
+// (0 for v2 images, which take no cut).
 func (fz *Frozen) Cut() uint64 { return fz.cut }
 
 // StartedAt backdates the checkpoint's wall clock to t (ignored unless
@@ -165,14 +178,20 @@ func (fz *Frozen) StartedAt(t time.Time) {
 // Release drops every copy-on-write page the frozen checkpoint pinned.
 // Idempotent; must be called once the image write finished or was
 // abandoned.
-func (fz *Frozen) Release() { fz.snap.Release() }
+func (fz *Frozen) Release() {
+	if fz.snap != nil {
+		fz.snap.Release()
+	}
+}
 
-// WriteFrozen serializes a frozen checkpoint to w, reading all memory
-// through the snapshot armed at freeze time, then runs the Resume
-// hooks. It may run concurrently with the application. The returned
-// DeltaState (v3 only) follows the CheckpointDelta contract: commit it
-// only once the image durably landed. Stats.PauseDuration is left zero —
-// the caller measured the pause and owns that split.
+// WriteFrozen serializes a frozen checkpoint to w — a v3 image when it
+// joins a lineage (incremental, or with a parent), v2 otherwise —
+// reading all memory through the freeze's view, then runs the Resume
+// hooks. The returned DeltaState (v3 only) follows the CheckpointDelta
+// contract: commit it only once the image durably landed. A live
+// checkpoint reports PauseDuration == Duration; a snapshot
+// checkpoint's PauseDuration is left zero — the caller measured the
+// pause and owns that split.
 func (e *Engine) WriteFrozen(ctx context.Context, w io.Writer, fz *Frozen) (Stats, *DeltaState, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -184,7 +203,7 @@ func (e *Engine) WriteFrozen(ctx context.Context, w io.Writer, fz *Frozen) (Stat
 			return Stats{}, nil, err
 		}
 		if fe.emit != nil {
-			if err := fe.emit(ctx, fz.snap, sections); err != nil {
+			if err := fe.emit(ctx, fz.view, sections); err != nil {
 				return Stats{}, nil, fmt.Errorf("dmtcp: plugin %s emit: %w", fe.plugin.Name(), err)
 			}
 			continue
@@ -197,38 +216,34 @@ func (e *Engine) WriteFrozen(ctx context.Context, w io.Writer, fz *Frozen) (Stat
 			}
 		}
 	}
-	hookDur := time.Since(hookStart)
+	hookDur := fz.hookDur + time.Since(hookStart)
 
-	regions := fz.snap.RegionsIn(addrspace.HalfUpper)
+	// Only upper-half regions enter the image. This relies on CRAC's own
+	// region attribution, not the merged maps view (Section 3.2.2).
+	regions := fz.view.RegionsIn(addrspace.HalfUpper)
 	st := Stats{Regions: len(regions), Delta: fz.prev != nil}
 	if fz.prev != nil {
 		st.DeltaDepth = fz.prev.Depth + 1
 	}
 
 	writeStart := time.Now()
-	// Same trailer rule as the blocking writer: every format except the
-	// whole-body-gzip v1 layout carries the integrity trailer.
-	var tw *trailerWriter
-	sink := w
-	if fz.version != 1 || !e.Gzip {
-		tw = newTrailerWriter(w)
-		sink = tw
-	}
-	bw := bufio.NewWriterSize(sink, 256<<10)
+	// Buffer the image stream: header and frame writes are a few bytes
+	// each and must not hit the underlying writer (often a file)
+	// directly. The trailer writer under the buffer checksums every
+	// body byte for the integrity trailer.
+	tw := newTrailerWriter(w)
+	bw := bufio.NewWriterSize(tw, 256<<10)
 	var state *DeltaState
 	var err error
-	switch fz.version {
-	case 1:
-		err = e.writeImageV1(ctx, bw, fz.snap, regions, sections, &st)
-	case 2:
-		err = e.writeImageV2(ctx, bw, fz.snap, regions, sections, &st)
-	case 3:
-		state, err = e.writeImageV3(ctx, bw, fz.snap, regions, sections, fz.prev, fz.selfName, fz.cut, fz.since, &st)
+	if fz.v3 {
+		state, err = e.writeImageV3(ctx, bw, fz.view, regions, sections, fz.prev, fz.selfName, fz.cut, fz.since, &st)
+	} else {
+		err = e.writeImageV2(ctx, bw, fz.view, regions, sections, &st)
 	}
 	if err == nil {
 		err = bw.Flush()
 	}
-	if err == nil && tw != nil {
+	if err == nil {
 		err = tw.Finish()
 	}
 	st.WriteDuration = time.Since(writeStart)
@@ -244,5 +259,9 @@ func (e *Engine) WriteFrozen(ctx context.Context, w io.Writer, fz *Frozen) (Stat
 	}
 	st.HookDuration = hookDur + time.Since(resumeStart)
 	st.Duration = time.Since(fz.start)
+	if fz.snap == nil {
+		// A live checkpoint stops the world for its whole duration.
+		st.PauseDuration = st.Duration
+	}
 	return st, state, nil
 }

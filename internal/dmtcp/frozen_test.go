@@ -8,33 +8,37 @@ import (
 	"repro/internal/addrspace"
 )
 
-// TestFreezeWriteFrozenMatchesBlocking: the frozen lifecycle with a
+// TestFreezeWriteFrozenMatchesBlocking: the snapshot lifecycle with a
 // plain (non-SnapshotPlugin) plugin — whose hooks then run in the pause
-// window — produces byte-identical images to the blocking Checkpoint,
-// for v1, v2, and a standalone v3 base, raw and gzip'd.
+// window — produces byte-identical images to the blocking Checkpoint
+// (a live freeze), for v2 and a standalone v3 base, raw and gzip'd.
 func TestFreezeWriteFrozenMatchesBlocking(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		version int
-		gz      bool
+		name string
+		v3   bool
+		gz   bool
 	}{
-		{"v1", 1, false},
-		{"v2", 2, false},
-		{"v2-gzip", 2, true},
-		{"v3-base", 3, false},
+		{"v2", false, false},
+		{"v2-gzip", false, true},
+		{"v3-base", true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mk := func() (*Engine, *addrspace.Space) {
 				space, _ := buildSpace(t)
 				e := NewEngine()
-				e.ImageVersion = tc.version
 				e.Gzip = tc.gz
 				e.Register(&testPlugin{name: "p"})
 				return e, space
 			}
 			eb, sb := mk()
 			var blocking bytes.Buffer
-			stB, err := eb.Checkpoint(context.Background(), &blocking, sb)
+			var stB Stats
+			var err error
+			if tc.v3 {
+				stB, _, err = eb.CheckpointDelta(context.Background(), &blocking, sb, nil, "")
+			} else {
+				stB, err = eb.Checkpoint(context.Background(), &blocking, sb)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,7 +47,7 @@ func TestFreezeWriteFrozenMatchesBlocking(t *testing.T) {
 			}
 
 			ef, sf := mk()
-			fz, err := ef.FreezeCheckpoint(context.Background(), sf, tc.version == 3, nil, "")
+			fz, err := ef.FreezeCheckpoint(context.Background(), sf, tc.v3, nil, "")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -70,20 +70,30 @@ func (p *lazyTestPlugin) Restart(_ context.Context, sections *SectionMap) error 
 // TestShardIndexSectionBytes checks the index returns the same section
 // bytes as the eager reader, across formats.
 func TestShardIndexSectionBytes(t *testing.T) {
+	write := func(mut func(e *Engine)) func(t *testing.T) []byte {
+		return func(t *testing.T) []byte { return writeTestImage(t, lazySpace(t), mut) }
+	}
 	for _, tc := range []struct {
-		name string
-		mut  func(e *Engine)
+		name  string
+		image func(t *testing.T) []byte
 	}{
-		{"v2", nil},
-		{"v2-gzip", func(e *Engine) { e.Gzip = true }},
-		{"v2-small-shards", func(e *Engine) { e.ShardSize = 64 << 10 }},
-		{"v1", func(e *Engine) { e.ImageVersion = 1 }},
-		{"v1-gzip", func(e *Engine) { e.ImageVersion = 1; e.Gzip = true }},
-		{"v3-base", func(e *Engine) { e.ImageVersion = 3 }},
+		{"v2", write(nil)},
+		{"v2-gzip", write(func(e *Engine) { e.Gzip = true })},
+		{"v2-small-shards", write(func(e *Engine) { e.ShardSize = 64 << 10 })},
+		{"v1", func(t *testing.T) []byte { return goldenImage(t, "v1") }},
+		{"v1-gzip", func(t *testing.T) []byte { return goldenImage(t, "v1-gzip") }},
+		{"v3-base", func(t *testing.T) []byte {
+			e := NewEngine()
+			e.Register(&lazyTestPlugin{})
+			var buf bytes.Buffer
+			if _, _, err := e.CheckpointDelta(nil, &buf, lazySpace(t), nil, ""); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			space := lazySpace(t)
-			img := writeTestImage(t, space, tc.mut)
+			img := tc.image(t)
 			want, err := ReadImage(bytes.NewReader(img))
 			if err != nil {
 				t.Fatal(err)
@@ -154,7 +164,6 @@ func chainImages(t *testing.T, shard int) (base, delta []byte, space *addrspace.
 	space = lazySpace(t)
 	e := NewEngine()
 	e.ShardSize = shard
-	e.ImageVersion = 3
 	var baseBuf bytes.Buffer
 	_, st, err := e.CheckpointDelta(context.Background(), &baseBuf, space, nil, "base")
 	if err != nil {

@@ -2,9 +2,12 @@ package dmtcp
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -136,40 +139,76 @@ func TestParallelSerialImagesIdentical(t *testing.T) {
 	}
 }
 
+// goldenImage returns one of the repository's golden images
+// (testdata/<name>.img.gz at the module root): checkpoints of one
+// deterministic session, written by the v1 writer before it was removed
+// and by the v2/v3 writers whose bytes they pin.
+func goldenImage(t testing.TB, name string) []byte {
+	t.Helper()
+	f, err := os.Open(filepath.Join("..", "..", "testdata", name+".img.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// goldenNames lists every golden image.
+var goldenNames = []string{"v1", "v1-gzip", "v2", "v3-base", "v3-delta"}
+
 // TestV1BackwardCompat: images written in the legacy serial format are
-// still read correctly, with and without whole-body gzip.
+// still read correctly, with and without whole-body gzip: they parse to
+// the same regions and sections as a v2 image of the same state.
 func TestV1BackwardCompat(t *testing.T) {
+	want, err := ReadImage(bytes.NewReader(goldenImage(t, "v2")))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, gz := range []bool{false, true} {
 		t.Run(fmt.Sprintf("gzip=%v", gz), func(t *testing.T) {
-			space, regions := buildBigSpace(t, 5)
-			want := snapshotRegions(t, space, regions)
-			e := NewEngine()
-			e.ImageVersion = 1
-			e.Gzip = gz
-			e.Register(&sectionPlugin{sizes: []int{33}})
-			var img bytes.Buffer
-			if _, err := e.Checkpoint(context.Background(), &img, space); err != nil {
-				t.Fatal(err)
+			name := "v1"
+			if gz {
+				name = "v1-gzip"
 			}
-			parsed, err := ReadImage(bytes.NewReader(img.Bytes()))
+			parsed, err := ReadImage(bytes.NewReader(goldenImage(t, name)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if parsed.Version != 1 || parsed.Gzip != gz {
 				t.Fatalf("version=%d gzip=%v", parsed.Version, parsed.Gzip)
 			}
-			fresh := addrspace.New()
-			if err := RestoreRegions(parsed, fresh); err != nil {
-				t.Fatal(err)
+			// Only the whole-body-gzip layout was written without the
+			// integrity trailer.
+			if parsed.Verified == gz {
+				t.Fatalf("Verified = %v for gzip=%v", parsed.Verified, gz)
 			}
-			got := snapshotRegions(t, fresh, regions)
-			for i := range want {
-				if !bytes.Equal(want[i], got[i]) {
-					t.Fatalf("region %d differs after v1 restore", i)
+			if len(parsed.Regions) == 0 || len(parsed.Regions) != len(want.Regions) {
+				t.Fatalf("regions: %d, want %d", len(parsed.Regions), len(want.Regions))
+			}
+			for i, rd := range parsed.Regions {
+				w := want.Regions[i]
+				if rd.Start != w.Start || rd.Len != w.Len || rd.Prot != w.Prot || rd.Label != w.Label || !bytes.Equal(rd.Data, w.Data) {
+					t.Fatalf("region %d differs from the v2 image", i)
 				}
 			}
-			if sec, ok := parsed.Sections.Get("sec.0"); !ok || len(sec) != 33 {
-				t.Fatalf("v1 section: ok=%v len=%d", ok, len(sec))
+			names := parsed.Sections.Names()
+			if fmt.Sprint(names) != fmt.Sprint(want.Sections.Names()) {
+				t.Fatalf("sections %v, want %v", names, want.Sections.Names())
+			}
+			for _, n := range names {
+				got, _ := parsed.Sections.Get(n)
+				ref, _ := want.Sections.Get(n)
+				if !bytes.Equal(got, ref) {
+					t.Fatalf("section %s differs from the v2 image", n)
+				}
 			}
 		})
 	}
@@ -177,15 +216,8 @@ func TestV1BackwardCompat(t *testing.T) {
 
 // TestV1V2SameRestoredState: both formats restore the same memory.
 func TestV1V2SameRestoredState(t *testing.T) {
-	space, regions := buildBigSpace(t, 6)
-	restored := func(version int) [][]byte {
-		e := NewEngine()
-		e.ImageVersion = version
-		var img bytes.Buffer
-		if _, err := e.Checkpoint(context.Background(), &img, space); err != nil {
-			t.Fatal(err)
-		}
-		parsed, err := ReadImage(bytes.NewReader(img.Bytes()))
+	restored := func(name string) (*addrspace.Space, []addrspace.RegionInfo) {
+		parsed, err := ReadImage(bytes.NewReader(goldenImage(t, name)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,12 +225,20 @@ func TestV1V2SameRestoredState(t *testing.T) {
 		if err := RestoreRegions(parsed, fresh); err != nil {
 			t.Fatal(err)
 		}
-		return snapshotRegions(t, fresh, regions)
+		return fresh, fresh.RegionsIn(addrspace.HalfUpper)
 	}
-	v1, v2 := restored(1), restored(2)
-	for i := range v1 {
-		if !bytes.Equal(v1[i], v2[i]) {
-			t.Fatalf("region %d: v1 and v2 restores differ", i)
+	s2, regions := restored("v2")
+	v2 := snapshotRegions(t, s2, regions)
+	for _, name := range []string{"v1", "v1-gzip"} {
+		s1, r1 := restored(name)
+		if len(r1) != len(regions) {
+			t.Fatalf("%s: %d regions, v2 %d", name, len(r1), len(regions))
+		}
+		v1 := snapshotRegions(t, s1, regions)
+		for i := range v1 {
+			if !bytes.Equal(v1[i], v2[i]) {
+				t.Fatalf("%s: region %d: v1 and v2 restores differ", name, i)
+			}
 		}
 	}
 }
@@ -331,27 +371,48 @@ func TestSectionWriterStreams(t *testing.T) {
 	}
 }
 
-// FuzzReadImage: the chunked decoder must reject arbitrary mutations
-// without panicking or over-allocating. Seeds cover both formats, both
-// compression modes, and truncations.
+// FuzzReadImage: the decoder must reject arbitrary mutations without
+// panicking or over-allocating. Seeds cover every golden image (v1,
+// v1-gzip, v2, v3 base and delta), fresh v2 images in both compression
+// modes, a fresh v3 base and delta, and truncations.
 func FuzzReadImage(f *testing.F) {
+	add := func(img []byte) {
+		f.Add(img)
+		f.Add(img[:len(img)/2])
+	}
+	for _, name := range goldenNames {
+		add(goldenImage(f, name))
+	}
 	space, _ := buildBigSpace(f, 3)
-	for _, cfg := range []struct {
-		version int
-		gz      bool
-	}{{1, false}, {1, true}, {2, false}, {2, true}} {
+	newEngine := func(gz bool) *Engine {
 		e := NewEngine()
-		e.ImageVersion = cfg.version
-		e.Gzip = cfg.gz
+		e.Gzip = gz
 		e.ShardSize = 2 * addrspace.PageSize
 		e.Register(&sectionPlugin{sizes: []int{100, 3000}})
+		return e
+	}
+	for _, gz := range []bool{false, true} {
 		var img bytes.Buffer
-		if _, err := e.Checkpoint(context.Background(), &img, space); err != nil {
+		if _, err := newEngine(gz).Checkpoint(context.Background(), &img, space); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(img.Bytes())
-		f.Add(img.Bytes()[:img.Len()/2])
+		add(img.Bytes())
 	}
+	e := newEngine(false)
+	var base, delta bytes.Buffer
+	_, st, err := e.CheckpointDelta(context.Background(), &base, space, nil, "base")
+	if err != nil {
+		f.Fatal(err)
+	}
+	regions := space.RegionsIn(addrspace.HalfUpper)
+	if err := space.WriteAt(regions[0].Start, []byte{0xEE}); err != nil {
+		f.Fatal(err)
+	}
+	if _, _, err := e.CheckpointDelta(context.Background(), &delta, space, st, "delta"); err != nil {
+		f.Fatal(err)
+	}
+	add(base.Bytes())
+	add(delta.Bytes())
 	f.Add([]byte("CRACIMG2garbage"))
 	f.Add([]byte("CRACIMG1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -359,7 +420,12 @@ func FuzzReadImage(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A successfully parsed image must be internally consistent.
+		// A successfully parsed image must be internally consistent. An
+		// unmaterialized v3 delta carries no region data until its chain
+		// is applied.
+		if !img.Complete() {
+			return
+		}
 		for i, rd := range img.Regions {
 			if uint64(len(rd.Data)) != rd.Len {
 				t.Fatalf("region %d: len %d != header %d", i, len(rd.Data), rd.Len)

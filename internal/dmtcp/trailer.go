@@ -19,10 +19,10 @@ import (
 // the wrong bytes altogether.
 var ErrCorruptImage = errors.New("dmtcp: corrupt checkpoint image")
 
-// The integrity trailer: appended after the image body by every writer
-// except the v1+gzip combination (whose body is read through a buffered
-// inflater that may overshoot the member's end; the gzip CRC covers
-// that body instead). The trailer is magic + body length + CRC-32C of
+// The integrity trailer: appended after the image body by every writer.
+// Legacy v1+gzip images carry none (their body is read through a
+// buffered inflater that may overshoot the member's end; the gzip CRC
+// covers that body instead). The trailer is magic + body length + CRC-32C of
 // every body byte, magic included, so any single-bit flip anywhere in
 // the stream — headers, payload, or the trailer itself — is detected.
 // CRC-32C rather than a 64-bit hash because the checksum sits on the

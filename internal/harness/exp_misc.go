@@ -315,14 +315,14 @@ func ablShadowConflict(t *Table, opt Options) error {
 			return err
 		}
 		n := uint64(1 << 14)
-		// Both streams write into the same managed buffer (disjoint
-		// elements, same pages).
+		// Both streams write into the same managed buffer, each into
+		// its own half (disjoint elements, one allocation).
 		if err := rt.LaunchKernel(fat, "fill", workloads.Launch1D(int(n)), s1,
 			mgd, kernels.F32Arg(1), n/2); err != nil {
 			return err
 		}
 		if err := rt.LaunchKernel(fat, "fill", workloads.Launch1D(int(n)), s2,
-			mgd, kernels.F32Arg(2), n/2); err != nil {
+			mgd+4*(n/2), kernels.F32Arg(2), n/2); err != nil {
 			return err
 		}
 		return rt.DeviceSynchronize()

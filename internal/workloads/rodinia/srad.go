@@ -66,21 +66,26 @@ func sradTable() map[string]workloads.Kernel {
 			lambda := f32arg(args[4])
 			img := ctx.Float32s(args[0], w*h)
 			coef := ctx.Float32s(args[1], w*h)
+			// Every cell reads its south and east neighbours before they
+			// are updated (the serial row-major order). Reading them
+			// from a copy keeps that true across par.For chunks, where
+			// the next chunk may already have updated the row below.
+			src := append([]float32(nil), img...)
 			par.For(h, 64, func(lo, hi int) {
 				for y := lo; y < hi; y++ {
 					for x := 0; x < w; x++ {
 						i := y*w + x
-						c := img[i]
+						c := src[i]
 						cC := coef[i]
 						cS, cE := cC, cC
 						down, right := c, c
 						if y < h-1 {
 							cS = coef[i+w]
-							down = img[i+w]
+							down = src[i+w]
 						}
 						if x < w-1 {
 							cE = coef[i+1]
-							right = img[i+1]
+							right = src[i+1]
 						}
 						div := cS*(down-c) + cE*(right-c)
 						img[i] = c + 0.25*lambda*div

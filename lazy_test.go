@@ -28,19 +28,21 @@ func sessionSnapshot(t testing.TB, s *Session) []byte {
 
 // TestLazyRestartByteIdentity checks that a lazy restart, once
 // drained, leaves the session byte-identical to an eager restart of
-// the same image — across formats (v2 raw and gzip'd, v1, and an
-// incremental v3 chain whose shards resolve from base and deltas).
+// the same image — across formats (v2 raw and gzip'd, the golden v1
+// images, and an incremental v3 chain whose shards resolve from base
+// and deltas).
 func TestLazyRestartByteIdentity(t *testing.T) {
 	cases := []struct {
-		name  string
-		opts  []Option
-		chain bool
+		name   string
+		opts   []Option
+		chain  bool
+		golden string // restart from this golden image of the same state
 	}{
-		{"v2", nil, false},
-		{"v2-gzip", []Option{WithGzip(1)}, false},
-		{"v1", []Option{WithImageVersion(1)}, false},
-		{"v1-gzip", []Option{WithImageVersion(1), WithGzip(1)}, false},
-		{"v3-chain", []Option{WithIncremental(8), WithShardSize(64 << 10)}, true},
+		{"v2", nil, false, ""},
+		{"v2-gzip", []Option{WithGzip(1)}, false, ""},
+		{"v1", []Option{WithShardSize(64 << 10)}, false, "v1"},
+		{"v1-gzip", []Option{WithShardSize(64 << 10)}, false, "v1-gzip"},
+		{"v3-chain", []Option{WithIncremental(8), WithShardSize(64 << 10)}, true, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,7 +56,9 @@ func TestLazyRestartByteIdentity(t *testing.T) {
 			store := NewMemStore()
 			ctx := context.Background()
 			tip := "gen0"
-			if _, err := s.CheckpointTo(ctx, store, tip); err != nil {
+			if tc.golden != "" {
+				storePutBytes(t, store, tip, goldenImage(t, tc.golden))
+			} else if _, err := s.CheckpointTo(ctx, store, tip); err != nil {
 				t.Fatal(err)
 			}
 			if tc.chain {

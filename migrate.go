@@ -442,53 +442,17 @@ func (s *Session) endMigration() {
 
 // migrateRound takes one incremental snapshot-and-release checkpoint
 // of the session into store under name, chained to prev (nil: a full
-// base). It is the migration-side twin of CheckpointAsync's body,
-// waited on: the CoW snapshot arms inside a micro-quiesce (or under
-// the caller's Quiesce for the final cut), the image writes through
-// the store, and the plugin's dirty baseline advances only on commit.
-// Every retained CoW page is released whether the round commits or
-// fails.
+// base), waited on: the CoW snapshot arms inside a micro-quiesce (or
+// under the caller's Quiesce for the final cut), the image writes
+// through the store, and the plugin's dirty baseline advances only on
+// commit. It returns the round's lineage and the image bytes moved.
 func (s *Session) migrateRound(ctx context.Context, store Store, name string, prev *dmtcp.DeltaState) (Stats, *dmtcp.DeltaState, uint64, error) {
-	if _, err := s.reserveCheckpointSlot(name, true); err != nil {
-		return Stats{}, nil, 0, err
-	}
-	defer s.releaseCheckpoint()
-	s.mu.Lock()
-	space := s.space
-	s.mu.Unlock()
-	fz, pause, err := s.armFrozen(ctx, space, true, prev, name)
+	p, err := s.checkpoint(ctx, ckpt{name: name, store: store, migration: true, prev: prev, snapshot: true})
+	st, err := wait(p, err)
 	if err != nil {
-		return Stats{}, nil, 0, wrapCancelled(err)
+		return st, nil, 0, err
 	}
-	var st Stats
-	var next *dmtcp.DeltaState
-	var moved int64
-	err = store.Put(ctx, name, func(w io.Writer) error {
-		mw := &meterWriter{w: w}
-		var cerr error
-		st, next, cerr = s.engine.WriteFrozen(ctx, mw, fz)
-		moved = mw.n
-		return cerr
-	})
-	fz.Release()
-	st.PauseDuration = pause
-	if err != nil {
-		return st, nil, 0, wrapCancelled(err)
-	}
-	s.plugin.CommitIncremental()
-	return st, next, uint64(moved), nil
-}
-
-// meterWriter counts the bytes that actually crossed into the store.
-type meterWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (m *meterWriter) Write(p []byte) (int, error) {
-	n, err := m.w.Write(p)
-	m.n += int64(n)
-	return n, err
+	return st, p.next, p.moved, nil
 }
 
 // fallbackStore resolves reads from primary first and falls back to

@@ -11,24 +11,21 @@ import (
 // parallel data path using every CPU.
 type Option func(*settings)
 
-// settings is the resolved option set. The deprecated Config shim
-// lowers onto the same struct, which is what makes the equivalence
-// between the two surfaces exact (see compat.go).
+// settings is the resolved option set.
 type settings struct {
-	prop         gpusim.Properties
-	switcher     SwitcherKind
-	gzip         bool
-	gzipLevel    int
-	workers      int
-	shardSize    int
-	imageVersion int
-	incremental  int  // max deltas per base; 0 = incremental off
-	concurrent   bool // blocking entry points use the snapshot path
-	lazyRestart  bool // RestartFrom/RestoreFrom use the lazy fault-in path
-	aslr         bool
-	aslrSeed     int64
-	retry        *RetryPolicy        // nil: no store retry wrapping
-	budget       *dmtcp.WorkerBudget // nil: per-process default pools
+	prop        gpusim.Properties
+	switcher    SwitcherKind
+	gzip        bool
+	gzipLevel   int
+	workers     int
+	shardSize   int
+	incremental int  // max deltas per base; 0 = incremental off
+	concurrent  bool // blocking entry points use the snapshot path
+	lazyRestart bool // RestartFrom/RestoreFrom use the lazy fault-in path
+	aslr        bool
+	aslrSeed    int64
+	retry       *RetryPolicy        // nil: no store retry wrapping
+	budget      *dmtcp.WorkerBudget // nil: per-process default pools
 
 	deviceArenaChunk  uint64
 	pinnedArenaChunk  uint64
@@ -75,17 +72,10 @@ func WithWorkers(n int) Option {
 	return func(s *settings) { s.workers = n }
 }
 
-// WithShardSize overrides the v2 image shard granularity in bytes
+// WithShardSize overrides the image shard granularity in bytes
 // (0 = the format default).
 func WithShardSize(bytes int) Option {
 	return func(s *settings) { s.shardSize = bytes }
-}
-
-// WithImageVersion pins the written image format: 2 (or 0) for the
-// chunked parallel layout, 1 for the legacy serial layout. Readers
-// accept both regardless.
-func WithImageVersion(v int) Option {
-	return func(s *settings) { s.imageVersion = v }
 }
 
 // WithIncremental enables incremental checkpointing: CheckpointTo
@@ -96,10 +86,11 @@ func WithImageVersion(v int) Option {
 // base + deltas (RestartFrom / RestoreFrom / OpenImageFrom follow the
 // lineage through the same Store). n <= 0 disables incremental mode.
 //
-// Only store-bound checkpoints join a chain: a plain Session.Checkpoint
-// to an io.Writer has no name for a parent to refer to and always
-// writes a self-contained image. A restart breaks the chain — the next
-// checkpoint after it is a base.
+// Only store-bound checkpoints join a chain, and only they are written
+// as v3 images: a plain Session.Checkpoint to an io.Writer has no name
+// for a parent to refer to and always writes a self-contained v2
+// image. A restart breaks the chain — the next checkpoint after it is
+// a base.
 func WithIncremental(n int) Option {
 	return func(s *settings) { s.incremental = n }
 }

@@ -2,7 +2,6 @@ package crac
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"errors"
 	"os"
@@ -47,67 +46,6 @@ func runFixedWorkload(t *testing.T, s *Session) {
 	}
 	if err := rt.DeviceSynchronize(); err != nil {
 		t.Fatalf("DeviceSynchronize: %v", err)
-	}
-}
-
-// TestConfigShimEquivalence proves the deprecated Config/NewSession
-// shim and the functional-option surface configure identical sessions:
-// the same workload checkpoints to byte-identical images under both.
-func TestConfigShimEquivalence(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		opts []Option
-	}{
-		{
-			name: "defaults",
-			cfg:  Config{},
-			opts: nil,
-		},
-		{
-			name: "tuned-data-path",
-			cfg: Config{
-				GzipImage:           true,
-				GzipLevel:           gzip.BestSpeed,
-				CheckpointWorkers:   2,
-				CheckpointShardSize: 64 << 10,
-			},
-			opts: []Option{WithGzip(gzip.BestSpeed), WithWorkers(2), WithShardSize(64 << 10)},
-		},
-		{
-			name: "fsgsbase-switch",
-			cfg:  Config{Switch: SwitchFSGSBase},
-			opts: []Option{WithSwitcher(SwitchFSGSBase)},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			legacy, err := NewSession(tc.cfg)
-			if err != nil {
-				t.Fatalf("NewSession: %v", err)
-			}
-			defer legacy.Close()
-			modern, err := New(tc.opts...)
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			defer modern.Close()
-
-			runFixedWorkload(t, legacy)
-			runFixedWorkload(t, modern)
-
-			var a, b bytes.Buffer
-			if _, err := legacy.Checkpoint(context.Background(), &a); err != nil {
-				t.Fatalf("legacy Checkpoint: %v", err)
-			}
-			if _, err := modern.Checkpoint(context.Background(), &b); err != nil {
-				t.Fatalf("modern Checkpoint: %v", err)
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Fatalf("Config shim and options produced different images (%d vs %d bytes)",
-					a.Len(), b.Len())
-			}
-		})
 	}
 }
 
@@ -170,47 +108,49 @@ func TestCloseAfterFailedRestart(t *testing.T) {
 	s.Close() // must be a no-op, not a double-destroy
 }
 
-// TestCheckpointFileAtomic proves the deprecated CheckpointFile shim
-// inherits the FileStore atomic-write path: a failing checkpoint leaves
-// no partial image on disk.
+// TestCheckpointFileAtomic: a checkpoint into a FileStore that fails
+// (here: the session is closed) leaves no image and no temp file on
+// disk.
 func TestCheckpointFileAtomic(t *testing.T) {
 	s, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Close() // forces the checkpoint to fail after the temp file opens
+	s.Close()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt.img")
-	if _, _, err := s.CheckpointFile(path); !errors.Is(err, ErrSessionClosed) {
-		t.Fatalf("CheckpointFile on closed session = %v", err)
+	if _, err := s.CheckpointTo(context.Background(), NewFileStore(path), "ckpt.img"); !errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("CheckpointTo on closed session = %v", err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("failed CheckpointFile left %s behind", path)
+		t.Fatalf("failed checkpoint left %s behind", path)
 	}
 	entries, _ := os.ReadDir(dir)
 	if len(entries) != 0 {
-		t.Fatalf("failed CheckpointFile left temp files: %v", entries)
+		t.Fatalf("failed checkpoint left temp files: %v", entries)
 	}
 }
 
-// TestCheckpointFileRoundTrip keeps the shim honest end-to-end.
+// TestCheckpointFileRoundTrip: a checkpoint into a FileStore restarts
+// the session end to end.
 func TestCheckpointFileRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	s, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	runFixedWorkload(t, s)
-	path := filepath.Join(t.TempDir(), "ckpt.img")
-	size, st, err := s.CheckpointFile(path)
+	store := NewFileStore(filepath.Join(t.TempDir(), "ckpt.img"))
+	st, err := s.CheckpointTo(ctx, store, "ckpt.img")
 	if err != nil {
-		t.Fatalf("CheckpointFile: %v", err)
+		t.Fatalf("CheckpointTo: %v", err)
 	}
-	if size <= 0 || st.Regions == 0 {
-		t.Fatalf("CheckpointFile size=%d stats=%+v", size, st)
+	if st.Regions == 0 {
+		t.Fatalf("CheckpointTo stats=%+v", st)
 	}
-	if err := s.RestartFile(path); err != nil {
-		t.Fatalf("RestartFile: %v", err)
+	if err := s.RestartFrom(ctx, store, "ckpt.img"); err != nil {
+		t.Fatalf("RestartFrom: %v", err)
 	}
 	if s.Generation() != 1 {
 		t.Fatalf("Generation = %d, want 1", s.Generation())

@@ -172,7 +172,6 @@ func newSession(cfg settings) (*Session, error) {
 	engine.GzipLevel = cfg.gzipLevel
 	engine.Workers = cfg.workers
 	engine.ShardSize = cfg.shardSize
-	engine.ImageVersion = cfg.imageVersion
 	engine.Budget = cfg.budget
 	engine.Register(plugin)
 	return &Session{
@@ -225,19 +224,13 @@ func (s *Session) SetRootBlob(b []byte) { s.plugin.SetRootBlob(b) }
 func (s *Session) RootBlob() []byte { return s.plugin.RootBlob() }
 
 // reserveCheckpoint claims the session's single checkpoint slot. Every
-// checkpoint path — blocking or concurrent — holds the slot for its
-// full duration, so two checkpoints can never interleave their epoch
-// cuts and plugin staging (which would corrupt the incremental skip
-// baseline). The caller must releaseCheckpoint (for async, the
-// background goroutine does, and the Pending doubles as the token).
-func (s *Session) reserveCheckpoint(name string) (*Pending, error) {
-	return s.reserveCheckpointSlot(name, false)
-}
-
-// reserveCheckpointSlot is reserveCheckpoint with the migration door:
-// while a migration holds the session, only its own rounds (migration
-// == true) may claim the slot.
-func (s *Session) reserveCheckpointSlot(name string, migration bool) (*Pending, error) {
+// checkpoint — blocking or concurrent — holds the slot for its full
+// duration, so two checkpoints can never interleave their epoch cuts
+// and plugin staging (which would corrupt the incremental skip
+// baseline). While a migration holds the session, only its own rounds
+// (migration == true) may claim the slot. The returned Pending doubles
+// as the token; whoever finishes the write must releaseCheckpoint.
+func (s *Session) reserveCheckpoint(name string, migration bool) (*Pending, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.lib == nil {
@@ -309,6 +302,123 @@ func (s *Session) armFrozen(ctx context.Context, space *addrspace.Space, increme
 	return fz, time.Since(pauseStart), nil
 }
 
+// ckpt describes one checkpoint to Session.checkpoint, the body every
+// checkpoint entry point runs. The entry points differ only in where
+// the image lands, which lineage it joins, whether a snapshot is armed,
+// and whether the write runs on a goroutine.
+type ckpt struct {
+	name  string
+	store Store     // where the image lands (through an atomic Put)
+	w     io.Writer // instead of store: write the image straight to w
+	// chain joins the session's incremental lineage (WithIncremental).
+	chain bool
+	// migration marks a migration round: it takes the slot past the
+	// migration door and chains to prev, leaving the session's own
+	// lineage alone.
+	migration bool
+	prev      *dmtcp.DeltaState
+	// snapshot takes a concurrent checkpoint: armFrozen's short pause,
+	// then a write from the copy-on-write snapshot. Otherwise the
+	// checkpoint is blocking: a live freeze, whose plugin hooks drain
+	// the device, and a write from the live space.
+	snapshot bool
+	// async runs the write and commit on a goroutine.
+	async bool
+}
+
+// checkpoint reserves the slot, resolves the lineage, freezes, writes
+// the image through the Put, releases the freeze, and commits the
+// lineage once the image is durable. A v3 image is written when the
+// checkpoint joins a lineage, a v2 image otherwise.
+func (s *Session) checkpoint(ctx context.Context, c ckpt) (*Pending, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	p, err := s.reserveCheckpoint(c.name, c.migration)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	space := s.space
+	incremental, prev := c.migration, c.prev
+	if c.chain {
+		incremental, prev = true, s.incrPrevLocked(c.store, c.name)
+	}
+	s.mu.Unlock()
+
+	var fz *dmtcp.Frozen
+	var pause time.Duration
+	if c.snapshot {
+		fz, pause, err = s.armFrozen(ctx, space, incremental, prev, c.name)
+	} else {
+		fz, err = s.engine.FreezeLive(ctx, space, incremental, prev, c.name)
+	}
+	if err != nil {
+		s.releaseCheckpoint()
+		return nil, wrapCancelled(err)
+	}
+	write := func() {
+		put := func(w io.Writer) error {
+			mw := &meterWriter{w: w}
+			var err error
+			p.st, p.next, err = s.engine.WriteFrozen(ctx, mw, fz)
+			p.moved = uint64(mw.n)
+			return err
+		}
+		var err error
+		if c.store != nil {
+			err = c.store.Put(ctx, c.name, put)
+		} else {
+			err = put(c.w)
+		}
+		// Success or not, every retained CoW page is dropped here.
+		fz.Release()
+		if c.snapshot {
+			p.st.PauseDuration = pause
+		}
+		if err == nil && incremental {
+			// The image is durable: advance the chain and the plugin's
+			// drain baseline together.
+			s.plugin.CommitIncremental()
+			if !c.migration {
+				s.mu.Lock()
+				s.incr = p.next
+				s.mu.Unlock()
+			}
+		}
+		p.err = wrapCancelled(err)
+		s.releaseCheckpoint()
+		close(p.done)
+	}
+	if c.async {
+		go write()
+	} else {
+		write()
+	}
+	return p, nil
+}
+
+// meterWriter counts the bytes that actually crossed into the store.
+type meterWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (m *meterWriter) Write(p []byte) (int, error) {
+	n, err := m.w.Write(p)
+	m.n += int64(n)
+	return n, err
+}
+
+// wait is Pending.Wait for an entry point that may have failed to
+// start its checkpoint.
+func wait(p *Pending, err error) (Stats, error) {
+	if err != nil {
+		return Stats{}, err
+	}
+	return p.Wait()
+}
+
 // Checkpoint drains the device and writes a checkpoint image to w. The
 // session keeps running afterwards (DMTCP "checkpoint and continue").
 // Cancelling ctx aborts the shard pipeline mid-image and returns an
@@ -318,28 +428,7 @@ func (s *Session) armFrozen(ctx context.Context, space *addrspace.Space, increme
 // semantics). With WithConcurrentCheckpoint the write runs from a CoW
 // snapshot: only the drain + arming pauses other goroutines.
 func (s *Session) Checkpoint(ctx context.Context, w io.Writer) (Stats, error) {
-	if _, err := s.reserveCheckpoint(""); err != nil {
-		return Stats{}, err
-	}
-	defer s.releaseCheckpoint()
-	s.mu.Lock()
-	space := s.space
-	s.mu.Unlock()
-	if s.cfg.concurrent {
-		// Snapshot-and-release: stop the world only for drain + CoW
-		// arming, then write from the snapshot. Goroutines other than
-		// this one keep executing through the whole write.
-		fz, pause, err := s.armFrozen(ctx, space, false, nil, "")
-		if err != nil {
-			return Stats{}, wrapCancelled(err)
-		}
-		defer fz.Release()
-		st, _, err := s.engine.WriteFrozen(ctx, w, fz)
-		st.PauseDuration = pause
-		return st, wrapCancelled(err)
-	}
-	st, err := s.engine.Checkpoint(ctx, w, space)
-	return st, wrapCancelled(err)
+	return wait(s.checkpoint(ctx, ckpt{w: w, snapshot: s.cfg.concurrent}))
 }
 
 // CheckpointTo checkpoints into a Store under name. The Put is atomic:
@@ -354,28 +443,14 @@ func (s *Session) Checkpoint(ctx context.Context, w io.Writer) (Stats, error) {
 // state advances only when the Put commits, so a failed or cancelled
 // checkpoint never leaves the lineage pointing at an image that does
 // not exist.
+//
+// With WithConcurrentCheckpoint the checkpoint takes CheckpointAsync's
+// snapshot path, waited on: the calling goroutine blocks, but the
+// application's other goroutines run through the whole image write and
+// store commit.
 func (s *Session) CheckpointTo(ctx context.Context, store Store, name string) (Stats, error) {
-	if s.cfg.concurrent {
-		// Same snapshot path as CheckpointAsync, waited on: the calling
-		// goroutine blocks, but the application's other goroutines run
-		// through the whole image write and store commit.
-		p, err := s.CheckpointAsync(ctx, store, name)
-		if err != nil {
-			return Stats{}, err
-		}
-		return p.Wait()
-	}
-	store = s.retryWrap(store)
-	if s.cfg.incremental > 0 {
-		return s.checkpointIncremental(ctx, store, name)
-	}
-	var st Stats
-	err := store.Put(ctx, name, func(w io.Writer) error {
-		var cerr error
-		st, cerr = s.Checkpoint(ctx, w)
-		return cerr
-	})
-	return st, wrapCancelled(err)
+	return wait(s.checkpoint(ctx, ckpt{name: name, store: s.retryWrap(store),
+		chain: s.cfg.incremental > 0, snapshot: s.cfg.concurrent}))
 }
 
 // retryWrap applies the session's WithCheckpointRetry policy to a
@@ -414,42 +489,16 @@ func (s *Session) incrPrevLocked(store Store, name string) *dmtcp.DeltaState {
 	return prev
 }
 
-func (s *Session) checkpointIncremental(ctx context.Context, store Store, name string) (Stats, error) {
-	if _, err := s.reserveCheckpoint(name); err != nil {
-		return Stats{}, err
-	}
-	defer s.releaseCheckpoint()
-	s.mu.Lock()
-	space := s.space
-	prev := s.incrPrevLocked(store, name)
-	s.mu.Unlock()
-	var st Stats
-	var next *dmtcp.DeltaState
-	err := store.Put(ctx, name, func(w io.Writer) error {
-		var cerr error
-		st, next, cerr = s.engine.CheckpointDelta(ctx, w, space, prev, name)
-		return cerr
-	})
-	if err != nil {
-		return st, wrapCancelled(err)
-	}
-	// The image is durable: advance the chain and the plugin's drain
-	// baseline together.
-	s.plugin.CommitIncremental()
-	s.mu.Lock()
-	s.incr = next
-	s.mu.Unlock()
-	return st, nil
-}
-
-// Pending is a concurrent checkpoint in flight: CheckpointAsync armed
-// its snapshot inside the stop-the-world window and the image is being
+// Pending is a checkpoint in flight: CheckpointAsync armed its
+// snapshot inside the stop-the-world window and the image is being
 // written in the background while the application executes.
 type Pending struct {
-	name string
-	done chan struct{}
-	st   Stats
-	err  error
+	name  string
+	done  chan struct{}
+	st    Stats
+	err   error
+	next  *dmtcp.DeltaState // the written image's lineage (v3 only)
+	moved uint64            // image bytes that crossed into the store
 }
 
 // Name returns the store name the checkpoint is being written under.
@@ -493,55 +542,8 @@ func (p *Pending) Wait() (Stats, error) {
 // CheckpointAsync cancels the background write and the checkpoint
 // surfaces ErrCancelled from Wait.
 func (s *Session) CheckpointAsync(ctx context.Context, store Store, name string) (*Pending, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	incremental := s.cfg.incremental > 0
-	store = s.retryWrap(store)
-	p, err := s.reserveCheckpoint(name)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	space := s.space
-	var prev *dmtcp.DeltaState
-	if incremental {
-		prev = s.incrPrevLocked(store, name)
-	}
-	s.mu.Unlock()
-
-	// The stop-the-world window: drain, cut, arm (micro-quiesced so no
-	// in-flight writer spans the arming). Everything after armFrozen
-	// returns overlaps with application execution.
-	fz, pause, err := s.armFrozen(ctx, space, incremental, prev, name)
-	if err != nil {
-		s.releaseCheckpoint()
-		return nil, wrapCancelled(err)
-	}
-
-	go func() {
-		var st Stats
-		var next *dmtcp.DeltaState
-		err := store.Put(ctx, name, func(w io.Writer) error {
-			var cerr error
-			st, next, cerr = s.engine.WriteFrozen(ctx, w, fz)
-			return cerr
-		})
-		// Success or not, every retained CoW page is dropped here.
-		fz.Release()
-		st.PauseDuration = pause
-		if err == nil && incremental {
-			s.plugin.CommitIncremental()
-			s.mu.Lock()
-			s.incr = next
-			s.mu.Unlock()
-		}
-		p.st = st
-		p.err = wrapCancelled(err)
-		s.releaseCheckpoint()
-		close(p.done)
-	}()
-	return p, nil
+	return s.checkpoint(ctx, ckpt{name: name, store: s.retryWrap(store),
+		chain: s.cfg.incremental > 0, snapshot: true, async: true})
 }
 
 // Restart simulates killing the process and restarting it from the image

@@ -118,11 +118,11 @@ func syncDir(dir string) error {
 // atomicWriteFile writes through a temp file in dir and renames it to
 // dest on success; on any failure — error or panic out of write — the
 // temp file is removed and dest is untouched. This is the atomic-write
-// path shared by FileStore and DirStore (and by the deprecated
-// CheckpointFile shim). Unless sync is false, the temp file is fsynced
-// before the rename and the directory after it, so a Put that returned
-// success survives a machine crash: rename-without-sync can leave dest
-// pointing at a file whose blocks never reached disk.
+// path shared by FileStore and DirStore. Unless sync is false, the temp
+// file is fsynced before the rename and the directory after it, so a
+// Put that returned success survives a machine crash:
+// rename-without-sync can leave dest pointing at a file whose blocks
+// never reached disk.
 func atomicWriteFile(dir, dest string, sync bool, write func(io.Writer) error) (err error) {
 	tmp, err := os.CreateTemp(dir, ".crac-put-*")
 	if err != nil {

@@ -88,7 +88,7 @@ func TestStreamWaitEventAcrossBindings(t *testing.T) {
 		waitEventRig(t, rt)
 	})
 	t.Run("crac", func(t *testing.T) {
-		s, err := NewSession(Config{})
+		s, err := New()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestStreamWaitEventAcrossBindings(t *testing.T) {
 }
 
 func TestStreamWaitEventSurvivesRestart(t *testing.T) {
-	s, err := NewSession(Config{})
+	s, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestStreamWaitEventSurvivesRestart(t *testing.T) {
 }
 
 func TestMemGetInfo(t *testing.T) {
-	s, err := NewSession(Config{})
+	s, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
